@@ -32,7 +32,8 @@ pub struct Attribution {
     pub oracle_queries: usize,
     /// Cross-validation result on the final labeled set.
     pub cv: CvResult,
-    /// Feature vectors per pool entry (kept for re-scoring experiments).
+    /// Domain name of each pool entry (every detected store), in pool
+    /// order (kept for re-scoring experiments).
     pub pool_domains: Vec<String>,
 }
 
@@ -71,9 +72,11 @@ impl Default for AttributionConfig {
 /// Runs the full §4.2 pipeline over the crawler's detected stores.
 pub fn attribute(world: &World, db: &CrawlDb, cfg: &AttributionConfig, seed: u64) -> Attribution {
     // The classification corpus: every detected store's captured HTML.
+    let mut pool_ids: Vec<u32> = Vec::new();
     let mut pool_domains: Vec<String> = Vec::new();
     let mut pool_html: Vec<&str> = Vec::new();
     for (id, info) in db.detected_stores() {
+        pool_ids.push(*id);
         pool_domains.push(db.domains.resolve(*id).to_owned());
         pool_html.push(&info.html);
     }
@@ -139,18 +142,17 @@ pub fn attribute(world: &World, db: &CrawlDb, cfg: &AttributionConfig, seed: u64
     );
 
     // Cross-validate on the final labeled set (§4.2.2 reports 10-fold CV).
-    let xs: Vec<SparseVec> = labeled.iter().map(|(i, _)| pool[*i].clone()).collect();
+    let xs: Vec<&SparseVec> = labeled.iter().map(|(i, _)| &pool[*i]).collect();
     let ys: Vec<usize> = labeled.iter().map(|(_, c)| *c).collect();
     let folds = cfg.cv_folds.min(xs.len().max(2)).max(2);
     let cv = cross_validate(&xs, &ys, &class_names, dict.len(), folds, &cfg.train, seed);
 
     // Attribute every detected store.
-    let mut store_class: HashMap<u32, Option<usize>> = HashMap::new();
-    for (i, domain) in pool_domains.iter().enumerate() {
-        let id = db.domains.get(domain).expect("pool came from the db");
-        let class = model.predict(&pool[i]).map(|(c, _)| c);
-        store_class.insert(id, class);
-    }
+    let store_class: HashMap<u32, Option<usize>> = pool_ids
+        .iter()
+        .zip(&pool)
+        .map(|(&id, x)| (id, model.predict(x).map(|(c, _)| c)))
+        .collect();
 
     Attribution {
         class_names,

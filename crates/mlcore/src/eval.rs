@@ -41,9 +41,10 @@ pub struct CvResult {
     pub chance: f64,
 }
 
-/// Runs stratified k-fold cross-validation of the one-vs-rest model.
+/// Runs stratified k-fold cross-validation of the one-vs-rest model over
+/// borrowed rows `xs` and their class `labels`.
 pub fn cross_validate(
-    xs: &[SparseVec],
+    xs: &[&SparseVec],
     labels: &[usize],
     class_names: &[String],
     dim: usize,
@@ -59,24 +60,17 @@ pub fn cross_validate(
     let mut confusion = std::collections::HashMap::<(usize, usize), usize>::new();
 
     for f in 0..k {
-        let mut train_x = Vec::new();
-        let mut train_y = Vec::new();
-        let mut test_idx = Vec::new();
-        for i in 0..xs.len() {
-            if folds[i] == f {
-                test_idx.push(i);
-            } else {
-                train_x.push(xs[i].clone());
-                train_y.push(labels[i]);
-            }
-        }
-        if test_idx.is_empty() || train_x.is_empty() {
+        let test_idx: Vec<usize> = (0..xs.len()).filter(|&i| folds[i] == f).collect();
+        if test_idx.is_empty() || test_idx.len() == xs.len() {
             continue;
         }
-        let model = MulticlassModel::train(&train_x, &train_y, class_names.to_vec(), dim, cfg);
+        let train = (0..xs.len())
+            .filter(|&i| folds[i] != f)
+            .map(|i| (xs[i], labels[i]));
+        let model = MulticlassModel::train(train, class_names.to_vec(), dim, cfg);
         let mut fold_correct = 0usize;
         for &i in &test_idx {
-            let pred = model.predict_forced(&xs[i]);
+            let pred = model.predict_forced(xs[i]);
             if pred == labels[i] {
                 fold_correct += 1;
             } else {
@@ -145,7 +139,8 @@ mod tests {
     fn cv_scores_separable_data_highly() {
         let (xs, ys, dim) = toy(12, 5);
         let names: Vec<String> = (0..5).map(|c| format!("C{c}")).collect();
-        let r = cross_validate(&xs, &ys, &names, dim, 4, &TrainConfig::default(), 7);
+        let rows: Vec<&SparseVec> = xs.iter().collect();
+        let r = cross_validate(&rows, &ys, &names, dim, 4, &TrainConfig::default(), 7);
         assert!(r.accuracy > 0.9, "accuracy {}", r.accuracy);
         assert_eq!(r.fold_accuracy.len(), 4);
         assert!((r.chance - 0.2).abs() < 1e-12);
@@ -159,7 +154,8 @@ mod tests {
             .collect();
         let ys: Vec<usize> = (0..60).map(|i| i % 3).collect();
         let names: Vec<String> = (0..3).map(|c| format!("C{c}")).collect();
-        let r = cross_validate(&xs, &ys, &names, 1, 3, &TrainConfig::default(), 7);
+        let rows: Vec<&SparseVec> = xs.iter().collect();
+        let r = cross_validate(&rows, &ys, &names, 1, 3, &TrainConfig::default(), 7);
         assert!(r.accuracy < 0.6, "accuracy {} on noise", r.accuracy);
     }
 
@@ -172,7 +168,8 @@ mod tests {
             let _ = &xs[i];
         }
         let names: Vec<String> = (0..3).map(|c| format!("C{c}")).collect();
-        let r = cross_validate(&xs, &ys, &names, dim, 3, &TrainConfig::default(), 7);
+        let rows: Vec<&SparseVec> = xs.iter().collect();
+        let r = cross_validate(&rows, &ys, &names, dim, 3, &TrainConfig::default(), 7);
         assert!(!r.confusions.is_empty());
         xs.clear();
     }

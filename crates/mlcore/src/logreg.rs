@@ -1,11 +1,22 @@
-//! L1-regularized logistic regression, binary and one-vs-rest multiclass.
+//! L1-regularized logistic regression, binary models wrapped one-vs-rest
+//! for multiclass prediction.
 //!
 //! The trainer is proximal (sub)gradient descent: a full-batch logistic
 //! gradient step followed by soft-thresholding, which drives most weights
 //! exactly to zero — the sparsity §4.2.2 leans on ("the predictions of SEO
 //! campaigns are derived from only a handful of HTML features").
+//!
+//! All classes train together (see [`MulticlassModel::train`]). Each class
+//! still performs exactly the f32 operations, in the same order, of an
+//! independent per-class loop over dense weights; that loop survives as
+//! the test-only reference the differential suite compares against.
+
+use std::ops::Range;
 
 use crate::sparse::SparseVec;
+
+#[cfg(test)]
+mod differential;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone)]
@@ -43,7 +54,20 @@ fn sigmoid(z: f32) -> f32 {
     }
 }
 
-/// A trained binary model.
+/// One proximal step on one weight: the gradient step, then
+/// soft-thresholding toward zero by `t` (L1).
+fn prox_step(w: f32, step: f32, grad: f32, t: f32) -> f32 {
+    let w = w - step * grad;
+    if w > t {
+        w - t
+    } else if w < -t {
+        w + t
+    } else {
+        0.0
+    }
+}
+
+/// A trained binary model: one class of a [`MulticlassModel`].
 #[derive(Debug, Clone)]
 pub struct BinaryLogReg {
     /// Dense weights over the dictionary.
@@ -53,43 +77,6 @@ pub struct BinaryLogReg {
 }
 
 impl BinaryLogReg {
-    /// Trains on `(x, y)` pairs with `y ∈ {0, 1}`, `dim` = dictionary size.
-    pub fn train(xs: &[SparseVec], ys: &[f32], dim: usize, cfg: &TrainConfig) -> Self {
-        assert_eq!(xs.len(), ys.len(), "features and labels must align");
-        let n = xs.len().max(1) as f32;
-        let mut w = vec![0.0f32; dim];
-        let mut b = 0.0f32;
-        let mut grad = vec![0.0f32; dim];
-        for _ in 0..cfg.epochs {
-            grad.iter_mut().for_each(|g| *g = 0.0);
-            let mut gb = 0.0f32;
-            for (x, &y) in xs.iter().zip(ys) {
-                let p = sigmoid(x.dot(&w) + b);
-                let err = p - y;
-                x.add_scaled_into(err, &mut grad);
-                gb += err;
-            }
-            let step = cfg.lr / n;
-            for (wi, gi) in w.iter_mut().zip(&grad) {
-                *wi -= step * gi;
-                // Proximal step: soft-threshold toward zero (L1).
-                let t = cfg.lr * cfg.lambda;
-                *wi = if *wi > t {
-                    *wi - t
-                } else if *wi < -t {
-                    *wi + t
-                } else {
-                    0.0
-                };
-            }
-            b -= step * gb;
-        }
-        BinaryLogReg {
-            weights: w,
-            bias: b,
-        }
-    }
-
     /// Probability that `x` is positive.
     pub fn prob(&self, x: &SparseVec) -> f32 {
         sigmoid(x.dot(&self.weights) + self.bias)
@@ -116,6 +103,83 @@ impl BinaryLogReg {
     }
 }
 
+/// Full-batch training of `n_classes` one-vs-rest models at once, over a
+/// dictionary of `dim` features. Weights and gradients are feature-major:
+/// active feature `k` owns the contiguous lanes
+/// `k * n_classes..(k + 1) * n_classes`, one per class, so an epoch reads
+/// each row once and the per-class arithmetic runs across lanes the
+/// compiler vectorizes. Lanes never mix, so each class sees the per-class
+/// loop's operations in its order: row dots start at `Iterator::sum`'s
+/// `-0.0`, rows and entries keep their order, and no multiply-add is
+/// fused. Row `r` is `entries[rows[r].0]` in active-feature space, with
+/// class index `rows[r].1`; `active` maps active features to the
+/// dictionary.
+fn train_classes(
+    entries: Vec<(u32, f32)>,
+    rows: Vec<(Range<usize>, usize)>,
+    active: &[u32],
+    n_classes: usize,
+    dim: usize,
+    cfg: &TrainConfig,
+) -> Vec<BinaryLogReg> {
+    let n = rows.len().max(1) as f32;
+    let step = cfg.lr / n;
+    let t = cfg.lr * cfg.lambda;
+    let mut w = vec![0.0f32; active.len() * n_classes];
+    let mut grad = vec![0.0f32; w.len()];
+    let mut bias = vec![0.0f32; n_classes];
+    let mut grad_bias = vec![0.0f32; n_classes];
+    // Per row: each class's dot product, then its error.
+    let mut err = vec![0.0f32; n_classes];
+    // A feature no row touches has a zero gradient in every epoch, so all
+    // of them share this lane (+0.0 whenever lr·lambda ≥ 0).
+    let mut untouched = 0.0f32;
+    for _ in 0..cfg.epochs {
+        grad.fill(0.0);
+        grad_bias.fill(0.0);
+        for (span, label) in &rows {
+            let row = &entries[span.clone()];
+            err.fill(-0.0);
+            for &(k, v) in row {
+                let wk = &w[k as usize * n_classes..][..n_classes];
+                for (z, wc) in err.iter_mut().zip(wk) {
+                    *z += wc * v;
+                }
+            }
+            for (class, ((e, b), gb)) in err.iter_mut().zip(&bias).zip(&mut grad_bias).enumerate() {
+                let y = if class == *label { 1.0 } else { 0.0 };
+                *e = sigmoid(*e + b) - y;
+                *gb += *e;
+            }
+            for &(k, v) in row {
+                let gk = &mut grad[k as usize * n_classes..][..n_classes];
+                for (g, e) in gk.iter_mut().zip(&err) {
+                    *g += e * v;
+                }
+            }
+        }
+        for (wc, g) in w.iter_mut().zip(&grad) {
+            *wc = prox_step(*wc, step, *g, t);
+        }
+        untouched = prox_step(untouched, step, 0.0, t);
+        for (b, gb) in bias.iter_mut().zip(&grad_bias) {
+            *b -= step * gb;
+        }
+    }
+    // Release the working set before the dense outputs are allocated.
+    drop((grad, entries, rows));
+    bias.into_iter()
+        .enumerate()
+        .map(|(class, bias)| {
+            let mut weights = vec![untouched; dim];
+            for (&f, wk) in active.iter().zip(w.chunks_exact(n_classes)) {
+                weights[f as usize] = wk[class];
+            }
+            BinaryLogReg { weights, bias }
+        })
+        .collect()
+}
+
 /// A one-vs-rest multiclass model with abstention.
 #[derive(Debug, Clone)]
 pub struct MulticlassModel {
@@ -129,24 +193,33 @@ pub struct MulticlassModel {
 }
 
 impl MulticlassModel {
-    /// Trains one binary model per class. `labels[i]` is the class index
-    /// of sample `i`.
-    pub fn train(
-        xs: &[SparseVec],
-        labels: &[usize],
+    /// Trains one binary model per class on `(row, class index)` samples,
+    /// over a dictionary of `dim` features. A sample whose class index is
+    /// not below `class_names.len()` is a negative for every class.
+    pub fn train<'a>(
+        samples: impl IntoIterator<Item = (&'a SparseVec, usize)>,
         class_names: Vec<String>,
         dim: usize,
         cfg: &TrainConfig,
     ) -> Self {
-        assert_eq!(xs.len(), labels.len());
-        let mut classes = Vec::with_capacity(class_names.len());
-        for c in 0..class_names.len() {
-            let ys: Vec<f32> = labels
-                .iter()
-                .map(|&l| if l == c { 1.0 } else { 0.0 })
-                .collect();
-            classes.push(BinaryLogReg::train(xs, &ys, dim, cfg));
+        // Gather the rows back to back, dropping entries at or beyond `dim`
+        // as `SparseVec::dot` skips them, then re-index them onto the
+        // active features: the dictionary indices some row touches,
+        // ascending.
+        let mut entries = Vec::new();
+        let mut rows = Vec::new();
+        for (x, label) in samples {
+            let start = entries.len();
+            entries.extend(x.entries().iter().filter(|(i, _)| (*i as usize) < dim));
+            rows.push((start..entries.len(), label));
         }
+        let mut active: Vec<u32> = entries.iter().map(|&(i, _)| i).collect();
+        active.sort_unstable();
+        active.dedup();
+        for (i, _) in &mut entries {
+            *i = active.partition_point(|&f| f < *i) as u32;
+        }
+        let classes = train_classes(entries, rows, &active, class_names.len(), dim, cfg);
         MulticlassModel {
             classes,
             class_names,
@@ -202,15 +275,29 @@ mod tests {
         (xs, ys, noise_dims as usize + classes)
     }
 
+    /// The binary model of class `positive` in a one-vs-rest fit; labels
+    /// above `positive` are negatives for every trained class.
+    fn binary(
+        xs: &[SparseVec],
+        ys: &[usize],
+        positive: usize,
+        dim: usize,
+        cfg: &TrainConfig,
+    ) -> BinaryLogReg {
+        let names = (0..=positive).map(|c| format!("C{c}")).collect();
+        MulticlassModel::train(xs.iter().zip(ys.iter().copied()), names, dim, cfg)
+            .classes
+            .swap_remove(positive)
+    }
+
     #[test]
     fn binary_separates_toy_data() {
         let (xs, ys, dim) = toy(20, 2);
-        let labels: Vec<f32> = ys.iter().map(|&y| y as f32).collect();
-        let m = BinaryLogReg::train(&xs, &labels, dim, &TrainConfig::default());
+        let m = binary(&xs, &ys, 1, dim, &TrainConfig::default());
         let correct = xs
             .iter()
-            .zip(&labels)
-            .filter(|(x, &y)| (m.prob(x) > 0.5) == (y > 0.5))
+            .zip(&ys)
+            .filter(|(x, &y)| (m.prob(x) > 0.5) == (y == 1))
             .count();
         assert!(
             correct as f64 / xs.len() as f64 > 0.95,
@@ -222,7 +309,6 @@ mod tests {
     #[test]
     fn l1_produces_sparse_models() {
         let (xs, ys, dim) = toy(20, 2);
-        let labels: Vec<f32> = ys.iter().map(|&y| y as f32).collect();
         let dense_cfg = TrainConfig {
             lambda: 0.0,
             ..TrainConfig::default()
@@ -231,8 +317,8 @@ mod tests {
             lambda: 3e-3,
             ..TrainConfig::default()
         };
-        let dense = BinaryLogReg::train(&xs, &labels, dim, &dense_cfg);
-        let sparse = BinaryLogReg::train(&xs, &labels, dim, &sparse_cfg);
+        let dense = binary(&xs, &ys, 1, dim, &dense_cfg);
+        let sparse = binary(&xs, &ys, 1, dim, &sparse_cfg);
         assert!(
             sparse.nnz() < dense.nnz(),
             "{} !< {}",
@@ -245,8 +331,7 @@ mod tests {
     #[test]
     fn top_features_identify_the_indicator() {
         let (xs, ys, dim) = toy(25, 3);
-        let labels: Vec<f32> = ys.iter().map(|&y| if y == 1 { 1.0 } else { 0.0 }).collect();
-        let m = BinaryLogReg::train(&xs, &labels, dim, &TrainConfig::default());
+        let m = binary(&xs, &ys, 1, dim, &TrainConfig::default());
         let top = m.top_features(1);
         assert_eq!(
             top[0].0, 11,
@@ -258,7 +343,12 @@ mod tests {
     fn multiclass_learns_and_abstains() {
         let (xs, ys, dim) = toy(15, 4);
         let names = (0..4).map(|c| format!("C{c}")).collect();
-        let m = MulticlassModel::train(&xs, &ys, names, dim, &TrainConfig::default());
+        let m = MulticlassModel::train(
+            xs.iter().zip(ys.iter().copied()),
+            names,
+            dim,
+            &TrainConfig::default(),
+        );
         let correct = xs
             .iter()
             .zip(&ys)

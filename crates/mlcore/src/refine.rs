@@ -105,9 +105,8 @@ fn train_on(
     dim: usize,
     cfg: &TrainConfig,
 ) -> MulticlassModel {
-    let xs: Vec<SparseVec> = labeled.iter().map(|(i, _)| pool[*i].clone()).collect();
-    let ys: Vec<usize> = labeled.iter().map(|(_, c)| *c).collect();
-    MulticlassModel::train(&xs, &ys, class_names.to_vec(), dim, cfg)
+    let samples = labeled.iter().map(|&(i, c)| (&pool[i], c));
+    MulticlassModel::train(samples, class_names.to_vec(), dim, cfg)
 }
 
 #[cfg(test)]
