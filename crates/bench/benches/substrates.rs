@@ -89,6 +89,9 @@ fn bench_js_engines(c: &mut Criterion) {
     });
 }
 
+/// The `serp/*` benches isolate the walk that the `engine/serp` cost row
+/// counts and the repo benchmark's `searchsim.walk_p99_us` times, so a win
+/// here can be checked against the same row of the end-to-end profile.
 fn bench_serp(c: &mut Criterion) {
     let world = World::build(ScenarioConfig::small(5)).expect("world");
     let day = SimDate::from_day_index(ss_types::CRAWL_START_DAY + 10);
@@ -108,6 +111,23 @@ fn bench_serp(c: &mut Criterion) {
     });
     c.bench_function("serp/epoch_cached", |b| {
         b.iter(|| epoch.ranked(TermId(0), day, 100))
+    });
+    // The traffic planner's access pattern: every term of a paper-scale
+    // index walked once at the paper's depth, so the postings come from
+    // memory rather than staying in cache as `serp/epoch_walk`'s one term
+    // does.
+    let paper = World::build(ScenarioConfig::paper(5)).expect("world");
+    let paper_epoch = paper.engine.epoch();
+    let terms: Vec<TermId> = (0..paper_epoch.term_count())
+        .map(TermId::from_index)
+        .collect();
+    c.bench_function("serp/epoch_walk_all_terms", |b| {
+        b.iter(|| {
+            terms
+                .iter()
+                .map(|&t| paper_epoch.ranked_uncached(t, day, 100).len())
+                .sum::<usize>()
+        })
     });
     c.bench_function("eco/world_build_tiny", |b| {
         b.iter(|| World::build(ScenarioConfig::tiny(9)).expect("world"))

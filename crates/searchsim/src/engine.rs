@@ -8,12 +8,13 @@
 //! [`EngineEpoch`] — an immutable snapshot published lazily at the
 //! plan/commit choke points — and query it concurrently between commits.
 //!
-//! Inside an epoch the per-term postings are pre-sorted by *static* score
+//! Inside an epoch each term's postings are packed 16-byte entries
+//! (static score, doc, indexing day) pre-sorted by *static* score
 //! (relevance/quality/juice/penalty, maintained incrementally as ops
-//! apply), so a SERP is a bounded candidate walk plus a top-k heap that
-//! only adds the per-(doc, day) jitter, instead of scoring and fully
-//! sorting every posting. Built SERPs are cached per `(term, day)` within
-//! an epoch and shared by reference ([`RankedSerp`] holds ids, not URLs).
+//! apply), so a SERP is one streaming pass plus a top-k heap that only
+//! adds the per-(doc, day) jitter, instead of scoring and fully sorting
+//! every posting. Built SERPs are cached per `(term, day)` within an
+//! epoch and shared by reference ([`RankedSerp`] holds ids, not URLs).
 //! A mutation that actually changes ranking state invalidates the epoch;
 //! bitwise no-op mutations (the common case — juice re-asserted at its
 //! current level every day) keep the epoch and its cache alive.
@@ -161,6 +162,9 @@ struct EngineIndex {
     /// Every doc of a domain (including deindexed ones) in id order —
     /// `site:` query semantics without a full doc-table scan.
     by_domain: Vec<Vec<DocId>>,
+    /// Per-doc owning domain: a compact copy of `Doc::domain` for the
+    /// walk, which never touches the doc table.
+    domain: Vec<DomainId>,
     /// Precomputed `url.is_root_page()` per doc (hacked-label policy).
     root_page: Vec<bool>,
 }
@@ -175,12 +179,41 @@ struct RankState {
     penalty: Vec<f64>,
     /// Day the domain was labeled "hacked", if ever.
     hacked_since: HashMap<DomainId, SimDate>,
-    /// Day-independent score per doc: bitwise-equal to the static prefix
-    /// of [`SearchEngine::score`] (everything but the jitter term).
-    static_score: Vec<f64>,
     /// Per-term postings sorted by (static score desc, `DocId` asc) —
     /// excludes deindexed docs, mirrors `postings` membership.
-    sorted: Vec<Vec<DocId>>,
+    sorted: Vec<Vec<Posting>>,
+}
+
+/// One entry of a term's sorted postings: everything the walk reads per
+/// candidate, packed into 16 bytes so a walk streams one array.
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    /// Day-independent score: bitwise-equal to [`static_score`] of the doc
+    /// under its domain's current juice and penalty, i.e. to
+    /// [`SearchEngine::score`] without the jitter term.
+    score: f64,
+    doc: DocId,
+    first_indexed: SimDate,
+}
+
+impl Posting {
+    fn key(&self) -> (f64, DocId) {
+        (self.score, self.doc)
+    }
+}
+
+/// The static part of a doc's score. Every stored [`Posting::score`] is
+/// computed here from the doc's fields and its domain's current juice and
+/// penalty, so any past score can be recomputed bit for bit from the
+/// juice and penalty it was computed under.
+fn static_score(d: &Doc, juice: f64, penalty: f64) -> f64 {
+    0.45 * d.relevance + 0.35 * d.quality + juice - penalty
+}
+
+/// Position of `key` in a sorted posting list: `Ok` if listed, else the
+/// insertion point.
+fn locate(list: &[Posting], key: (f64, DocId)) -> Result<usize, usize> {
+    list.binary_search_by(|p| better_first(&p.key(), &key))
 }
 
 /// Query-plane counters, shared between the writer and every epoch it
@@ -263,6 +296,10 @@ impl Ord for WeakestFirst {
 /// and the walk stops. Equality keeps walking: a later, smaller `DocId`
 /// could still tie and win the deterministic tie-break.
 ///
+/// The first `k` eligible postings are all kept, so they are collected
+/// unordered and heapified once; after that each candidate that beats the
+/// weakest kept hit replaces it in place. `k = 0` walks nothing.
+///
 /// Returns the hits plus whether the walk consumed every eligible
 /// candidate (in which case the result is the complete ranking for `day`).
 fn walk_serp(
@@ -274,62 +311,75 @@ fn walk_serp(
     day: SimDate,
     k: usize,
 ) -> (Vec<RankedHit>, bool, WalkWork) {
-    let list = &rank.sorted[term.index()];
-    let mut heap: BinaryHeap<WeakestFirst> = BinaryHeap::with_capacity(k + 1);
-    let half_amp = 0.5 * jitter_amp;
-    let mut eligible = 0usize;
-    let mut truncated = false;
     let mut work = WalkWork::default();
-    for &doc in list {
+    if k == 0 {
+        // Not exhausted: a cached empty build must not serve a wider query.
+        return (Vec::new(), false, work);
+    }
+    let score = |p: &Posting| {
+        let s = p.score + jitter(seed, jitter_amp, p.doc, day);
+        debug_assert!(s.is_finite(), "non-finite SERP score for {:?}", p.doc);
+        WeakestFirst(s, p.doc)
+    };
+    let mut postings = rank.sorted[term.index()].iter();
+    let mut kept: Vec<WeakestFirst> = Vec::with_capacity(k);
+    for p in postings.by_ref() {
         work.postings += 1;
-        let di = doc.0 as usize;
-        if index.docs[di].first_indexed > day {
-            continue;
-        }
-        let stat = rank.static_score[di];
-        if heap.len() == k {
-            let weakest = heap.peek().expect("heap full implies k > 0");
-            if stat + half_amp < weakest.0 {
-                truncated = true;
+        if p.first_indexed <= day {
+            kept.push(score(p));
+            if kept.len() == k {
                 break;
             }
         }
-        eligible += 1;
-        let score = stat + jitter(seed, jitter_amp, doc, day);
-        debug_assert!(score.is_finite(), "non-finite SERP score for {doc:?}");
-        let cand = WeakestFirst(score, doc);
-        if heap.len() < k {
-            work.pushes += 1;
-            heap.push(cand);
-        } else if cand < *heap.peek().expect("heap full") {
-            work.pushes += 1;
-            heap.pop();
-            heap.push(cand);
-        }
     }
-    let mut kept: Vec<WeakestFirst> = heap.into_vec();
-    kept.sort();
+    work.pushes = kept.len() as u64;
+    let mut exhausted = true;
+    if kept.len() == k {
+        let half_amp = 0.5 * jitter_amp;
+        let mut heap = BinaryHeap::from(kept);
+        for p in postings {
+            work.postings += 1;
+            if p.first_indexed > day {
+                continue;
+            }
+            // More than `k` eligible candidates: the hits are not the
+            // complete ranking, whether or not this one is kept.
+            exhausted = false;
+            let mut weakest = heap.peek_mut().expect("k > 0");
+            if p.score + half_amp < weakest.0 {
+                break;
+            }
+            let cand = score(p);
+            if cand < *weakest {
+                work.pushes += 1;
+                *weakest = cand;
+            }
+        }
+        kept = heap.into_vec();
+    }
+    // `DocId`s are distinct, so the order is total and an unstable sort
+    // is exact.
+    kept.sort_unstable();
     let hits = kept
         .iter()
         .enumerate()
         .map(|(i, c)| {
             let di = c.1 .0 as usize;
-            let d = &index.docs[di];
-            let labeled = rank
-                .hacked_since
-                .get(&d.domain)
-                .map(|since| *since <= day)
-                .unwrap_or(false)
-                && index.root_page[di];
+            let domain = index.domain[di];
+            let labeled = index.root_page[di]
+                && rank
+                    .hacked_since
+                    .get(&domain)
+                    .is_some_and(|since| *since <= day);
             RankedHit {
                 rank: (i + 1) as u32,
                 doc: c.1,
-                domain: d.domain,
+                domain,
                 hacked_label: labeled,
             }
         })
         .collect();
-    (hits, !truncated && eligible == kept.len(), work)
+    (hits, exhausted, work)
 }
 
 /// An immutable snapshot of the engine, published at the tick plane's
@@ -463,7 +513,7 @@ impl SearchEngine {
     }
 
     /// Assembles an engine from its serialized fields, rebuilding every
-    /// derived structure (per-domain index, static scores, sorted
+    /// derived structure (per-domain index, per-doc columns, sorted
     /// postings). The incremental maintenance paths keep exactly the
     /// invariants established here, so a decode-then-walk matches a
     /// mutate-then-walk bitwise.
@@ -487,25 +537,27 @@ impl SearchEngine {
             }
             by_domain[d.domain.index()].push(DocId(i as u32));
         }
-        let static_score: Vec<f64> = docs
-            .iter()
-            .map(|d| {
-                0.45 * d.relevance
-                    + 0.35 * d.quality
-                    + juice.get(d.domain.index()).copied().unwrap_or(0.0)
-                    - penalty.get(d.domain.index()).copied().unwrap_or(0.0)
-            })
-            .collect();
-        let sorted: Vec<Vec<DocId>> = postings
+        let domain: Vec<DomainId> = docs.iter().map(|d| d.domain).collect();
+        let level = |v: &[f64], d: DomainId| v.get(d.index()).copied().unwrap_or(0.0);
+        let sorted: Vec<Vec<Posting>> = postings
             .iter()
             .map(|list| {
-                let mut s = list.clone();
-                s.sort_by(|&a, &b| {
-                    better_first(
-                        &(static_score[a.0 as usize], a),
-                        &(static_score[b.0 as usize], b),
-                    )
-                });
+                let mut s: Vec<Posting> = list
+                    .iter()
+                    .map(|&doc| {
+                        let d = &docs[doc.0 as usize];
+                        Posting {
+                            score: static_score(
+                                d,
+                                level(&juice, d.domain),
+                                level(&penalty, d.domain),
+                            ),
+                            doc,
+                            first_indexed: d.first_indexed,
+                        }
+                    })
+                    .collect();
+                s.sort_unstable_by(|a, b| better_first(&a.key(), &b.key()));
                 s
             })
             .collect();
@@ -515,13 +567,13 @@ impl SearchEngine {
                 docs,
                 postings,
                 by_domain,
+                domain,
                 root_page,
             }),
             rank: Arc::new(RankState {
                 juice,
                 penalty,
                 hacked_since,
-                static_score,
                 sorted,
             }),
             jitter_amp,
@@ -629,6 +681,7 @@ impl SearchEngine {
         let index = Arc::make_mut(&mut self.index);
         let id = DocId(index.docs.len() as u32);
         index.root_page.push(url.is_root_page());
+        index.domain.push(domain);
         index.docs.push(Doc {
             url,
             domain,
@@ -645,31 +698,34 @@ impl SearchEngine {
 
         let rank = Arc::make_mut(&mut self.rank);
         ensure_domain(rank, domain);
-        let stat = 0.45 * relevance + 0.35 * quality + rank.juice[domain.index()]
-            - rank.penalty[domain.index()];
-        rank.static_score.push(stat);
-        let (sorted, statics) = (&mut rank.sorted, &rank.static_score);
-        let list = &mut sorted[term.index()];
-        let pos = list
-            .binary_search_by(|&d| better_first(&(statics[d.0 as usize], d), &(stat, id)))
-            .unwrap_err();
-        list.insert(pos, id);
+        let score = static_score(
+            &index.docs[id.0 as usize],
+            rank.juice[domain.index()],
+            rank.penalty[domain.index()],
+        );
+        let list = &mut rank.sorted[term.index()];
+        let pos = locate(list, (score, id)).expect_err("a new doc is not listed yet");
+        list.insert(
+            pos,
+            Posting {
+                score,
+                doc: id,
+                first_indexed: day,
+            },
+        );
         id
     }
 
     /// Removes a page from the index (site cleaned or de-indexed).
     pub fn deindex_page(&mut self, doc: DocId) {
         self.invalidate_epoch();
-        let term = self.index.docs[doc.0 as usize].term;
-        let index = Arc::make_mut(&mut self.index);
-        index.postings[term.index()].retain(|d| *d != doc);
-        let rank = Arc::make_mut(&mut self.rank);
-        let (sorted, statics) = (&mut rank.sorted, &rank.static_score);
-        let stat = statics[doc.0 as usize];
-        if let Ok(pos) = sorted[term.index()]
-            .binary_search_by(|&d| better_first(&(statics[d.0 as usize], d), &(stat, doc)))
-        {
-            sorted[term.index()].remove(pos);
+        let d = &self.index.docs[doc.0 as usize];
+        let term = d.term.index();
+        let score = static_score(d, self.juice(d.domain), self.penalty(d.domain));
+        Arc::make_mut(&mut self.index).postings[term].retain(|x| *x != doc);
+        let list = &mut Arc::make_mut(&mut self.rank).sorted[term];
+        if let Ok(pos) = locate(list, (score, doc)) {
+            list.remove(pos);
         }
     }
 
@@ -682,8 +738,9 @@ impl SearchEngine {
         self.invalidate_epoch();
         let rank = Arc::make_mut(&mut self.rank);
         ensure_domain(rank, domain);
+        let old = (rank.juice[domain.index()], rank.penalty[domain.index()]);
         rank.juice[domain.index()] = juice;
-        refresh_domain(rank, &self.index, domain);
+        refresh_domain(rank, &self.index, domain, old);
     }
 
     /// Current juice for a domain.
@@ -703,8 +760,9 @@ impl SearchEngine {
         self.invalidate_epoch();
         let rank = Arc::make_mut(&mut self.rank);
         ensure_domain(rank, domain);
+        let old = (rank.juice[domain.index()], rank.penalty[domain.index()]);
         rank.penalty[domain.index()] += penalty;
-        refresh_domain(rank, &self.index, domain);
+        refresh_domain(rank, &self.index, domain, old);
     }
 
     /// Current penalty for a domain.
@@ -752,7 +810,7 @@ impl SearchEngine {
     /// Scores one document on one day.
     pub fn score(&self, doc: DocId, day: SimDate) -> f64 {
         let d = &self.index.docs[doc.0 as usize];
-        0.45 * d.relevance + 0.35 * d.quality + self.juice(d.domain) - self.penalty(d.domain)
+        static_score(d, self.juice(d.domain), self.penalty(d.domain))
             + jitter(self.seed, self.jitter_amp, doc, day)
     }
 
@@ -878,39 +936,38 @@ fn ensure_domain(rank: &mut RankState, domain: DomainId) {
     }
 }
 
-/// Recomputes the static scores of every doc owned by `domain` (from
-/// scratch, so the value is bitwise-equal to a fresh rebuild) and repairs
-/// their positions in the sorted posting lists. Docs whose score did not
-/// change bits are untouched; de-indexed docs update their score but have
-/// no sorted entry to move.
-fn refresh_domain(rank: &mut RankState, index: &EngineIndex, domain: DomainId) {
+/// Repairs the sorted postings of every doc owned by `domain` after its
+/// juice or penalty changed from `old` (juice, penalty). Each stored
+/// score was computed by [`static_score`] under `old`, so recomputing it
+/// from `old` finds the entry bit for bit; the new score is computed from
+/// scratch, so it is bitwise-equal to a fresh rebuild. Docs whose score
+/// did not change bits are untouched; de-indexed docs have no entry.
+fn refresh_domain(
+    rank: &mut RankState,
+    index: &EngineIndex,
+    domain: DomainId,
+    (old_juice, old_penalty): (f64, f64),
+) {
     let Some(docs) = index.by_domain.get(domain.index()) else {
         return;
     };
     let j = rank.juice[domain.index()];
     let p = rank.penalty[domain.index()];
     for &doc in docs {
-        let di = doc.0 as usize;
-        let d = &index.docs[di];
-        let new = 0.45 * d.relevance + 0.35 * d.quality + j - p;
-        let old = rank.static_score[di];
+        let d = &index.docs[doc.0 as usize];
+        let old = static_score(d, old_juice, old_penalty);
+        let new = static_score(d, j, p);
         if old.to_bits() == new.to_bits() {
             continue;
         }
-        let ti = d.term.index();
-        let (sorted, statics) = (&mut rank.sorted, &mut rank.static_score);
-        let listed = sorted[ti]
-            .binary_search_by(|&x| better_first(&(statics[x.0 as usize], x), &(old, doc)));
-        if let Ok(pos) = listed {
-            sorted[ti].remove(pos);
-        }
-        statics[di] = new;
-        if listed.is_ok() {
-            let pos = sorted[ti]
-                .binary_search_by(|&x| better_first(&(statics[x.0 as usize], x), &(new, doc)))
-                .unwrap_err();
-            sorted[ti].insert(pos, doc);
-        }
+        let list = &mut rank.sorted[d.term.index()];
+        let Ok(pos) = locate(list, (old, doc)) else {
+            continue;
+        };
+        let mut entry = list.remove(pos);
+        entry.score = new;
+        let pos = locate(list, entry.key()).expect_err("the doc's entry was just removed");
+        list.insert(pos, entry);
     }
 }
 
@@ -936,8 +993,8 @@ impl Snapshot for SearchEngine {
         // Postings are serialized explicitly: `deindex_page` removes
         // entries while leaving the doc record behind, so postings are
         // not reconstructible from the doc list alone. Derived structures
-        // (per-domain index, static scores, sorted postings, epoch,
-        // caches, counters) are rebuilt on decode, never serialized.
+        // (per-domain index, per-doc columns, scored sorted postings,
+        // epoch, caches, counters) are rebuilt on decode, never serialized.
         w.put_seq(&self.index.postings, |w, list| {
             w.put_seq(list, |w, d| w.put_u32(d.0));
         });
@@ -1308,6 +1365,19 @@ mod tests {
         assert_eq!(again.results(), wide.results());
         let (queries, hits) = e.take_serp_stats();
         assert_eq!((queries, hits), (2, 1));
+    }
+
+    #[test]
+    fn k_zero_walks_nothing_and_caches_no_complete_build() {
+        let (e, t, _) = setup();
+        assert!(e.serp(t, day(7), 0).results.is_empty());
+        assert!(e.ranked_uncached(t, day(7), 0).is_empty());
+        let epoch = e.epoch();
+        e.take_walk_work();
+        assert!(epoch.ranked(t, day(8), 0).results().is_empty());
+        assert_eq!(e.take_walk_work(), (0, 0), "k = 0 walks nothing");
+        // The empty build must not be served as the complete ranking.
+        assert_eq!(epoch.ranked(t, day(8), 100).results().len(), 33);
     }
 
     #[test]

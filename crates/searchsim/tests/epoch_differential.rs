@@ -111,7 +111,7 @@ proptest! {
         deindex in proptest::collection::vec(0usize..90, 0..6),
         jitter_choice in 0u8..3,
         probe_day in 0u32..240,
-        k in 1usize..40,
+        k in 0usize..40,
     ) {
         let jitter_amp = [0.0, 0.05, 0.3][jitter_choice as usize];
         let mut e = build(&docs, 3, jitter_amp);
@@ -130,7 +130,9 @@ proptest! {
                     &e.serp_full_scan(term, day, k),
                 );
                 // Neighbouring days reuse the same epoch with a cold
-                // cache key; a huge k exercises the exhausted path.
+                // cache key; a huge k exercises the exhausted path (and,
+                // after a `k = 0` query, that no empty build was cached
+                // as complete).
                 let next = SimDate::from_day_index(probe_day + 1);
                 assert_serps_equal(
                     &e.serp(term, next, k),
@@ -151,7 +153,7 @@ proptest! {
         docs in proptest::collection::vec(gen_doc(2, 16), 1..60),
         ops in proptest::collection::vec(gen_op(16), 0..16),
         probe_day in 0u32..240,
-        k in 1usize..30,
+        k in 0usize..30,
     ) {
         let mut e = build(&docs, 2, 0.05);
         e.apply_batch(ops.into_iter().map(|(kind, d, m)| to_op(kind, d, m)));
@@ -161,6 +163,66 @@ proptest! {
             let term = TermId::from_index(t);
             let day = SimDate::from_day_index(probe_day);
             assert_serps_equal(&back.serp(term, day, k), &e.serp_full_scan(term, day, k));
+        }
+    }
+}
+
+/// The SERP depths the deep sweep draws from: empty, single, either side
+/// of the paper's 100-deep crawl and traffic SERPs, and deeper than most
+/// posting lists.
+const DEEP_KS: [usize; 6] = [0, 1, 99, 100, 101, 500];
+
+proptest! {
+    /// The walk at production shape: 150–400 postings per term, k around
+    /// the paper's SERP depth and the paper's 0.05 jitter, so the walk
+    /// crosses the fill/heapify boundary and takes its early exit on most
+    /// probes, which the small generators above rarely reach. Each probe
+    /// key takes a short run of depths, so narrower, wider and empty
+    /// queries also meet each other's cached builds.
+    #[test]
+    #[ignore = "paper-shaped differential sweep; run in release CI"]
+    fn epoch_walk_matches_full_scan_at_paper_shape(
+        term_docs in proptest::collection::vec(
+            proptest::collection::vec(gen_doc(1, 160), 150..401), 1..3),
+        batches in proptest::collection::vec(
+            (
+                proptest::collection::vec(gen_op(160), 0..24),
+                proptest::collection::vec(0usize..800, 0..4),
+                0u8..2,
+            ),
+            2..10),
+        probe_day in 0u32..240,
+        ks in proptest::collection::vec(0usize..DEEP_KS.len(), 1..4),
+    ) {
+        let n_terms = term_docs.len();
+        let docs: Vec<GenDoc> = term_docs
+            .into_iter()
+            .enumerate()
+            .flat_map(|(t, docs)| docs.into_iter().map(move |d| GenDoc { term: t, ..d }))
+            .collect();
+        let mut e = build(&docs, n_terms, 0.05);
+        for (ops, deindex, roundtrip) in batches {
+            e.apply_batch(ops.into_iter().map(|(kind, d, m)| to_op(kind, d, m)));
+            for di in deindex {
+                if di < docs.len() {
+                    e.deindex_page(ss_search::DocId(di as u32));
+                }
+            }
+            if roundtrip == 1 {
+                let back = SearchEngine::decode(&e.encode()).unwrap();
+                assert_eq!(back.state_fingerprint(), e.state_fingerprint());
+                e = back;
+            }
+            for t in 0..n_terms {
+                let term = TermId::from_index(t);
+                for day in [probe_day, probe_day + 1] {
+                    let day = SimDate::from_day_index(day);
+                    for &ki in &ks {
+                        let k = DEEP_KS[ki];
+                        assert_serps_equal(&e.serp(term, day, k), &e.serp_full_scan(term, day, k));
+                    }
+                }
+            }
         }
     }
 }
