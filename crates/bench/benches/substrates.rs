@@ -5,41 +5,60 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use ss_bench::jsengine;
 use ss_eco::{ScenarioConfig, World};
 use ss_ml::logreg::{MulticlassModel, TrainConfig};
 use ss_ml::{extract_features, Dictionary};
 use ss_types::rng::sub_rng;
 use ss_types::{SimDate, TermId};
 use ss_web::http::UserAgent;
-use ss_web::js::render::render;
-use ss_web::js::{JsCache, JsEngine};
-use ss_web::pagegen::storefront::{home_page, StoreCtx, StoreTemplate};
+use ss_web::js::render::{render, render_with};
+use ss_web::js::JsCache;
+use ss_web::pagegen::storefront::{home_page, product_page, StoreCtx, StoreTemplate};
 use ss_web::pagegen::{doorway, obfuscate};
 use ss_web::Document;
 
-fn sample_store_page() -> String {
-    let t = StoreTemplate::for_campaign("BIGLOVE", 42);
-    home_page(&StoreCtx {
+const SAMPLE_DOORWAY: doorway::DoorwayCtx<'static> = doorway::DoorwayCtx {
+    domain: "hacked-blog.com",
+    term: "cheap louis vuitton",
+    brand: "Louis Vuitton",
+    backlinks: &[],
+    seed: 11,
+};
+
+fn sample_store_ctx(template: &StoreTemplate) -> StoreCtx<'_> {
+    StoreCtx {
         domain: "cocovipbags.com",
         store_name: "coco vip bags",
-        template: &t,
+        template,
         brands: &["Chanel", "Louis Vuitton"],
         locale: "us",
         merchant_id: "m-889231",
         seed: 7,
-    })
+    }
+}
+
+fn sample_store_page() -> String {
+    let t = StoreTemplate::for_campaign("BIGLOVE", 42);
+    home_page(&sample_store_ctx(&t))
 }
 
 fn sample_iframe_page(level: u8) -> String {
-    let ctx = doorway::DoorwayCtx {
-        domain: "hacked-blog.com",
-        term: "cheap louis vuitton",
-        brand: "Louis Vuitton",
-        backlinks: &[],
-        seed: 11,
-    };
-    doorway::iframe_page(&ctx, "http://store.com/", level)
+    doorway::iframe_page(&SAMPLE_DOORWAY, "http://store.com/", level)
+}
+
+/// The pages a crawl day renders: every doorway flavour plus the scripted
+/// storefront pages.
+fn render_corpus() -> Vec<String> {
+    let t = StoreTemplate::for_campaign("BIGLOVE", 42);
+    let store = sample_store_ctx(&t);
+    let mut pages = vec![
+        doorway::seo_page(&SAMPLE_DOORWAY),
+        doorway::seo_page_with_js_redirect(&SAMPLE_DOORWAY, "http://store.com/"),
+    ];
+    pages.extend((0..=3).map(sample_iframe_page));
+    pages.push(home_page(&store));
+    pages.push(product_page(&store, 2));
+    pages
 }
 
 fn bench_html(c: &mut Criterion) {
@@ -71,22 +90,35 @@ fn bench_js(c: &mut Criterion) {
     });
 }
 
-/// Head-to-head over the shared pagegen corpus: the tree-walking
-/// reference vs the bytecode VM on a warmed chunk cache (the crawler's
-/// steady state — every page template compiles once per run). The ≥2× VM
-/// speedup recorded in EXPERIMENTS.md comes from this pair; `js_bench`
-/// gates CI on the same corpus.
-fn bench_js_engines(c: &mut Criterion) {
-    let corpus = jsengine::render_corpus();
-    let tw_cache = JsCache::new();
-    c.bench_function("js/render_treewalk", |b| {
-        b.iter(|| jsengine::sweep(&corpus, JsEngine::TreeWalk, &tw_cache))
-    });
-    let vm_cache = JsCache::new();
-    jsengine::sweep(&corpus, JsEngine::Vm, &vm_cache); // warm the chunk cache
-    c.bench_function("js/render_vm", |b| {
-        b.iter(|| jsengine::sweep(&corpus, JsEngine::Vm, &vm_cache))
-    });
+/// The bytecode VM over a pagegen corpus on a warm chunk cache: the
+/// crawler's steady state, where every page template compiles once per
+/// run. `js/render_vm` isolates the work of the `crawl/render` cost
+/// row (parse, run scripts, fold), so a win here can be checked against
+/// the same row of the end-to-end profile. The VM's ≥2× script speedup
+/// over the tree-walking reference is gated in `ss-web`'s differential
+/// harness, where that test-only reference lives.
+fn bench_js_render(c: &mut Criterion) {
+    let corpus = render_corpus();
+    let cache = JsCache::new();
+    // Renders every page as a search-referred browser; the summed
+    // script-error count is a cheap anti-DCE sink.
+    let sweep = || {
+        corpus
+            .iter()
+            .map(|page| {
+                render_with(
+                    std::hint::black_box(page),
+                    "http://d.com/",
+                    UserAgent::Browser,
+                    Some("http://google.com/search?q=x"),
+                    &cache,
+                )
+                .script_errors
+            })
+            .sum::<usize>()
+    };
+    sweep(); // warm the chunk cache
+    c.bench_function("js/render_vm", |b| b.iter(sweep));
 }
 
 /// The `serp/*` benches isolate the walk that the `engine/serp` cost row
@@ -98,13 +130,9 @@ fn bench_serp(c: &mut Criterion) {
     c.bench_function("search/serp_top100", |b| {
         b.iter(|| world.engine.serp(TermId(0), day, 100))
     });
-    // The query-plane pair EXPERIMENTS.md quotes: the reference
-    // scan-and-sort over every posting vs the epoch's bounded walk down
-    // score-sorted postings, plus the (term, day)-cached steady state the
-    // crawler and `repro serve` actually hit.
-    c.bench_function("serp/full_scan", |b| {
-        b.iter(|| world.engine.serp_full_scan(TermId(0), day, 100))
-    });
+    // The epoch's bounded walk down score-sorted postings, plus the
+    // (term, day)-cached steady state the crawler and `repro serve`
+    // actually hit.
     let epoch = world.engine.epoch();
     c.bench_function("serp/epoch_walk", |b| {
         b.iter(|| epoch.ranked_uncached(TermId(0), day, 100))
@@ -180,6 +208,6 @@ fn bench_ml(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_html, bench_js, bench_js_engines, bench_serp, bench_ml
+    targets = bench_html, bench_js, bench_js_render, bench_serp, bench_ml
 }
 criterion_main!(benches);

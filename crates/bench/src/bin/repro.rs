@@ -5,7 +5,6 @@
 //! ```text
 //! repro <experiment> [--preset tiny|small|paper|mega] [--seed N] [--out DIR]
 //!                    [--threads N] [--no-trace] [--trace-level off|stage|event]
-//!                    [--js-engine treewalk|vm]
 //! repro all          # every experiment + EXPERIMENTS.md
 //! repro list         # experiment index
 //! repro explain campaign <name|index>   # causal chain for one campaign
@@ -35,11 +34,6 @@
 //! `--threads N` drives both planes — the crawler's per-vertical fan-out
 //! and the simulation's tick-stage planners. Output is bit-identical for
 //! every `N` (default: serial).
-//!
-//! `--js-engine` selects how VanGogh runs page scripts: the cached
-//! bytecode `vm` (default) or the reference `treewalk` interpreter.
-//! Every dataset and the manifest headline are identical either way —
-//! the pipeline `js_engines_are_study_equivalent` test pins that.
 //!
 //! Tracing is on by default for `repro` runs: the flight recorder and the
 //! tick-plane event trail feed `repro explain`, and the wall-clock stage
@@ -71,7 +65,6 @@ struct Args {
     out_dir: Option<String>,
     threads: usize,
     trace: TraceLevel,
-    js_engine: ss_web::js::JsEngine,
     /// Drop a resumable checkpoint every N crawl days.
     checkpoint_every: Option<u32>,
     /// Directory for checkpoint frames (default `checkpoints/`).
@@ -97,7 +90,6 @@ fn parse_args() -> Args {
     // retained event trail, and the Perfetto timeline is ~free at this
     // scale. Benches and library users default to off.
     let mut trace = TraceLevel::Event;
-    let mut js_engine = ss_web::js::JsEngine::default();
     let mut checkpoint_every = None;
     let mut checkpoint_dir = None;
     let mut resume_from = None;
@@ -126,11 +118,6 @@ fn parse_args() -> Args {
                     .expect("numeric thread count");
             }
             "--no-trace" => trace = TraceLevel::Off,
-            "--js-engine" => {
-                let v = args.next().expect("--js-engine needs a value");
-                js_engine = ss_web::js::JsEngine::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown js engine {v:?} (treewalk|vm)"));
-            }
             "--trace-level" => {
                 let v = args.next().expect("--trace-level needs a value");
                 trace = TraceLevel::parse(&v)
@@ -177,7 +164,6 @@ fn parse_args() -> Args {
         out_dir,
         threads,
         trace,
-        js_engine,
         checkpoint_every,
         checkpoint_dir,
         resume_from,
@@ -227,11 +213,11 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "jsengine",
-        "§3.1.2 — VanGogh execution engine: bytecode VM vs treewalker",
+        "§3.1.2 — VanGogh execution engine: bytecode VM chunk cache",
     ),
     (
         "queryplane",
-        "query plane — epoch SERP index: walk vs full scan, cache, serve",
+        "query plane — epoch SERP index: walk, cache, serve",
     ),
     (
         "profile",
@@ -296,7 +282,6 @@ fn main() {
     // One flag drives both planes: crawl fan-out and tick planners.
     cfg.set_threads(args.threads);
     cfg.set_trace(args.trace);
-    cfg.crawler.js_engine = args.js_engine;
     if args.trace != TraceLevel::Off {
         // Wall-clock half of the trace plane: a Chrome-trace-event
         // timeline, excluded from every determinism comparison.
@@ -666,33 +651,16 @@ fn manifest_report(out: &StudyOutput) -> ExperimentReport {
 }
 
 fn jsengine_report(out: &StudyOutput) -> ExperimentReport {
-    // Quick wall-clock head-to-head over the pagegen corpus; the cache
-    // counters come from the study run itself (deterministic), the
-    // timings from this machine (indicative, not pinned).
-    let h = ss_bench::jsengine::head_to_head(100);
+    // The cache counters come from the study run itself (deterministic).
     let compiles = out.metrics.counter_total("simweb.js_compile");
     let hits = out.metrics.counter_total("simweb.js_cache_hit");
     ExperimentReport::new("S11", "§3.1.2 — VanGogh execution engine")
         .narrate(
             "VanGogh runs page scripts on a bytecode VM compiling each page \
-             template once into a cached chunk; the original tree-walking \
-             interpreter survives as the reference half of a differential \
-             harness, and `--js-engine treewalk` swaps it back in. Every \
-             dataset and the manifest headline are bit-identical either way; \
-             only wall clock moves. Timings below are from this machine and \
-             indicative — CI gates the script-only speedup at ≥2×.",
-        )
-        .compare(
-            "VM speedup, script execution only",
-            "≥ 2×",
-            format!("{:.2}×", h.vm_script_speedup),
-            false,
-        )
-        .compare(
-            "VM speedup, full render (incl. HTML parse)",
-            "—",
-            format!("{:.2}×", h.vm_speedup),
-            false,
+             template once into a cached chunk. The original tree-walking \
+             interpreter survives only as the test-only reference of a \
+             differential harness, which holds the VM to identical renders \
+             and gates its script-only speedup at ≥2× in CI.",
         )
         .compare(
             "templates compiled this study (crawl window total)",
@@ -714,29 +682,23 @@ fn jsengine_report(out: &StudyOutput) -> ExperimentReport {
 }
 
 fn queryplane_report(out: &StudyOutput) -> ExperimentReport {
-    // Counters come from the study run itself (deterministic); the
-    // walk-vs-scan timings and the serve loadgen run on this machine
-    // (indicative, not pinned — the bit-identity of the SERPs is what
-    // the differential suite gates).
+    // Counters come from the study run itself (deterministic); the walk
+    // timing and the serve loadgen run on this machine (indicative, not
+    // pinned — the bit-identity of the SERPs is what the differential
+    // suite gates).
     let queries = out.metrics.counter_total("engine.serp_queries");
     let hits = out.metrics.counter_total("engine.serp_cache_hits");
 
-    // Micro head-to-head on the study's own final engine: reference
-    // scan-and-sort vs the epoch's bounded walk, no cache either side.
+    // The epoch's bounded walk on the study's own final engine, uncached.
     let term = ss_types::TermId(0);
     let day = out.window.1;
     let k = 100;
     let iters = 2_000u32;
     let t0 = std::time::Instant::now();
     for _ in 0..iters {
-        std::hint::black_box(out.world.engine.serp_full_scan(term, day, k));
-    }
-    let scan_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(iters);
-    let t1 = std::time::Instant::now();
-    for _ in 0..iters {
         std::hint::black_box(out.world.engine.ranked_uncached(term, day, k));
     }
-    let walk_us = t1.elapsed().as_secs_f64() * 1e6 / f64::from(iters);
+    let walk_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(iters);
 
     // Sustained read-path throughput: workers on the published epoch of
     // a small ticking world (the `repro serve` loadgen, shortened).
@@ -752,8 +714,8 @@ fn queryplane_report(out: &StudyOutput) -> ExperimentReport {
              all read the same snapshot — score-sorted postings walked with a \
              top-k heap, per-(term, day) SERP cache, id-based hits with URLs \
              resolved only at boundaries. SERPs are bit-identical to the \
-             reference full scan (property-tested and CI-gated); only wall \
-             clock moves. Timings below are from this machine and indicative.",
+             test-only reference full scan (property-tested and CI-gated). \
+             Timings below are from this machine and indicative.",
         )
         .compare("SERP queries this study", "—", queries, false)
         .compare(
@@ -763,21 +725,9 @@ fn queryplane_report(out: &StudyOutput) -> ExperimentReport {
             false,
         )
         .compare(
-            "full scan, µs/query (k=100)",
-            "—",
-            format!("{scan_us:.2}"),
-            false,
-        )
-        .compare(
             "epoch walk, µs/query (k=100)",
             "—",
             format!("{walk_us:.2}"),
-            false,
-        )
-        .compare(
-            "walk speedup over full scan",
-            "> 1×",
-            format!("{:.2}×", scan_us / walk_us),
             false,
         )
         .compare(

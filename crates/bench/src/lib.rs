@@ -147,197 +147,6 @@ pub fn run_preset(preset: Preset, seed: u64) -> StudyOutput {
         .expect("study preset runs")
 }
 
-/// The VanGogh engine head-to-head: one pagegen corpus and one wall-clock
-/// measurement shared by the `js/render_*` Criterion pair, the
-/// `js_bench` CI example, and `repro jsengine`.
-pub mod jsengine {
-    use ss_web::http::UserAgent;
-    use ss_web::js::render::render_with;
-    use ss_web::js::{run_script_with, JsCache, JsEngine, PageEnv};
-    use ss_web::pagegen::doorway;
-    use ss_web::pagegen::storefront::{home_page, product_page, StoreCtx, StoreTemplate};
-    use ss_web::Document;
-
-    /// The pages a crawl day actually renders: every doorway flavour plus
-    /// the scripted storefront pages.
-    pub fn render_corpus() -> Vec<String> {
-        let mut pages = Vec::new();
-        let ctx = doorway::DoorwayCtx {
-            domain: "hacked-blog.com",
-            term: "cheap louis vuitton",
-            brand: "Louis Vuitton",
-            backlinks: &[],
-            seed: 11,
-        };
-        pages.push(doorway::seo_page(&ctx));
-        pages.push(doorway::seo_page_with_js_redirect(
-            &ctx,
-            "http://store.com/",
-        ));
-        for level in 0..=3u8 {
-            pages.push(doorway::iframe_page(&ctx, "http://store.com/", level));
-        }
-        let t = StoreTemplate::for_campaign("BIGLOVE", 42);
-        let sctx = StoreCtx {
-            domain: "cocovipbags.com",
-            store_name: "coco vip bags",
-            template: &t,
-            brands: &["Chanel", "Louis Vuitton"],
-            locale: "us",
-            merchant_id: "m-889231",
-            seed: 7,
-        };
-        pages.push(home_page(&sctx));
-        pages.push(product_page(&sctx, 2));
-        pages
-    }
-
-    /// Renders every corpus page as a search-referred browser; returns the
-    /// script-error count (a cheap anti-DCE sink).
-    pub fn sweep(corpus: &[String], engine: JsEngine, cache: &JsCache) -> usize {
-        corpus
-            .iter()
-            .map(|page| {
-                render_with(
-                    std::hint::black_box(page),
-                    "http://d.com/",
-                    UserAgent::Browser,
-                    Some("http://google.com/search?q=x"),
-                    engine,
-                    cache,
-                )
-                .script_errors
-            })
-            .sum()
-    }
-
-    /// A page's pre-parsed execution context: its scripts plus the
-    /// `PageEnv` a fresh per-visit environment is cloned from.
-    pub struct ScriptCase {
-        scripts: Vec<String>,
-        env: PageEnv,
-    }
-
-    /// Pre-parses the corpus so [`script_sweep`] times only execution.
-    pub fn script_cases(corpus: &[String]) -> Vec<ScriptCase> {
-        corpus
-            .iter()
-            .map(|page| {
-                let doc = Document::parse(page);
-                let mut env =
-                    PageEnv::browser("http://d.com/", Some("http://google.com/search?q=x"));
-                env.title = doc.title().unwrap_or_default();
-                env.dom_ids = doc
-                    .elements()
-                    .iter()
-                    .filter_map(|e| e.attr("id").map(str::to_owned))
-                    .collect();
-                ScriptCase {
-                    scripts: doc.scripts(),
-                    env,
-                }
-            })
-            .collect()
-    }
-
-    /// Executes every pre-parsed script (fresh env per page); returns the
-    /// error count.
-    pub fn script_sweep(cases: &[ScriptCase], engine: JsEngine, cache: &JsCache) -> usize {
-        let mut errors = 0;
-        for case in cases {
-            let mut env = case.env.clone();
-            for src in &case.scripts {
-                if run_script_with(std::hint::black_box(src), &mut env, engine, cache).is_err() {
-                    errors += 1;
-                }
-            }
-        }
-        errors
-    }
-
-    /// One full head-to-head measurement. Field names are the public
-    /// contract of the `BENCH_js.json` artifact — extend, don't rename.
-    #[derive(serde::Serialize)]
-    pub struct HeadToHead {
-        /// Pages in the corpus and sweeps over it per engine.
-        pub corpus_pages: usize,
-        /// Sweeps per engine.
-        pub iters: usize,
-        /// Full-render wall clock per engine, seconds. Includes the
-        /// (engine-independent) HTML parse, so this understates the gap.
-        pub treewalk_wall_s: f64,
-        /// Full-render wall clock for the VM on a warmed chunk cache.
-        pub vm_wall_s: f64,
-        /// `treewalk_wall_s / vm_wall_s` over full renders.
-        pub vm_speedup: f64,
-        /// Script-execution-only wall clock (pages pre-parsed).
-        pub treewalk_script_wall_s: f64,
-        /// Script-execution-only wall clock for the VM.
-        pub vm_script_wall_s: f64,
-        /// The headline number CI gates on: ≥2× is the acceptance bar.
-        pub vm_script_speedup: f64,
-        /// VM chunk-cache stats after the run: distinct templates
-        /// compiled and chunk-cache hits.
-        pub js_compiles: u64,
-        /// Chunk-cache hits.
-        pub js_cache_hits: u64,
-    }
-
-    /// Runs the measurement: `iters` sweeps per engine over the corpus,
-    /// full-render and script-only, VM on a warmed per-call cache.
-    pub fn head_to_head(iters: usize) -> HeadToHead {
-        let corpus = render_corpus();
-        let tw_cache = JsCache::new();
-        let vm_cache = JsCache::new();
-        // Warm both paths once so first-iteration noise (VM template
-        // compiles included) stays out of the timed loops.
-        sweep(&corpus, JsEngine::TreeWalk, &tw_cache);
-        sweep(&corpus, JsEngine::Vm, &vm_cache);
-
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            sweep(&corpus, JsEngine::TreeWalk, &tw_cache);
-        }
-        let treewalk_wall_s = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        for _ in 0..iters {
-            sweep(&corpus, JsEngine::Vm, &vm_cache);
-        }
-        let vm_wall_s = t1.elapsed().as_secs_f64();
-
-        let cases = script_cases(&corpus);
-        let t2 = std::time::Instant::now();
-        for _ in 0..iters {
-            script_sweep(&cases, JsEngine::TreeWalk, &tw_cache);
-        }
-        let treewalk_script_wall_s = t2.elapsed().as_secs_f64();
-        let t3 = std::time::Instant::now();
-        for _ in 0..iters {
-            script_sweep(&cases, JsEngine::Vm, &vm_cache);
-        }
-        let vm_script_wall_s = t3.elapsed().as_secs_f64();
-
-        let (js_compiles, js_cache_hits) = vm_cache.stats();
-        assert_eq!(
-            tw_cache.stats(),
-            (0, 0),
-            "the treewalker must never touch the compile cache"
-        );
-        HeadToHead {
-            corpus_pages: corpus.len(),
-            iters,
-            treewalk_wall_s,
-            vm_wall_s,
-            vm_speedup: treewalk_wall_s / vm_wall_s,
-            treewalk_script_wall_s,
-            vm_script_wall_s,
-            vm_script_speedup: treewalk_script_wall_s / vm_script_wall_s,
-            js_compiles,
-            js_cache_hits,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

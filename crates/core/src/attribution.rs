@@ -71,15 +71,19 @@ impl Default for AttributionConfig {
 
 /// Runs the full §4.2 pipeline over the crawler's detected stores.
 pub fn attribute(world: &World, db: &CrawlDb, cfg: &AttributionConfig, seed: u64) -> Attribution {
-    // The classification corpus: every detected store's captured HTML.
-    let mut pool_ids: Vec<u32> = Vec::new();
-    let mut pool_domains: Vec<String> = Vec::new();
-    let mut pool_html: Vec<&str> = Vec::new();
-    for (id, info) in db.detected_stores() {
-        pool_ids.push(*id);
-        pool_domains.push(db.domains.resolve(*id).to_owned());
-        pool_html.push(&info.html);
-    }
+    // The classification corpus: every detected store's captured HTML, in
+    // domain order. Pool order picks the seed labels, the dictionary's
+    // index order and the training row order, so it must not follow the
+    // `store_info` map's per-process iteration order.
+    let pool_ids = db.detected_store_ids();
+    let pool_domains: Vec<String> = pool_ids
+        .iter()
+        .map(|&id| db.domains.resolve(id).to_owned())
+        .collect();
+    let pool_html: Vec<&str> = pool_ids
+        .iter()
+        .map(|id| db.store_info[id].html.as_str())
+        .collect();
 
     // Feature extraction (dictionary grows over the whole corpus, as when
     // vectorizing a fixed crawl).
@@ -195,6 +199,7 @@ mod tests {
     use ss_crawl::crawler::{Crawler, CrawlerConfig};
     use ss_crawl::terms;
     use ss_eco::ScenarioConfig;
+    use ss_types::snapshot::Snapshot;
     use ss_types::SimDate;
 
     fn crawled_world() -> (World, Crawler) {
@@ -280,6 +285,46 @@ mod tests {
             let feats = attr.top_features_of(c, 5);
             assert!(!feats.is_empty());
             assert!(feats.iter().all(|(_, w)| *w > 0.0));
+        }
+    }
+
+    /// Two databases with the same content attribute identically: each
+    /// decode of one crawl rebuilds `store_info` with its own hash seed,
+    /// so a pool built in map order would pick different seed labels and
+    /// train on a different row order.
+    #[test]
+    fn attribution_is_independent_of_store_map_order() {
+        let (w, crawler) = crawled_world();
+        let frame = crawler.db.encode();
+        let cfg = AttributionConfig {
+            train: TrainConfig {
+                epochs: 40,
+                ..TrainConfig::default()
+            },
+            refine_rounds: 1,
+            ..AttributionConfig::default()
+        };
+        let runs: Vec<Attribution> = (0..3)
+            .map(|_| attribute(&w, &CrawlDb::decode(&frame).unwrap(), &cfg, 7))
+            .collect();
+        let bits = |a: &Attribution| -> Vec<(Vec<u32>, u32)> {
+            a.model
+                .classes
+                .iter()
+                .map(|c| {
+                    (
+                        c.weights.iter().map(|w| w.to_bits()).collect(),
+                        c.bias.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        for other in &runs[1..] {
+            assert_eq!(
+                runs[0].pool_domains, other.pool_domains,
+                "pool order differs"
+            );
+            assert!(bits(&runs[0]) == bits(other), "weights or biases differ");
         }
     }
 }

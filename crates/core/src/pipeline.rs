@@ -767,56 +767,6 @@ mod tests {
         );
     }
 
-    /// Runs a full fast-test study pinned to one JS engine and thread
-    /// count; everything compared by the engine-equivalence tests.
-    fn run_with_engine(engine: ss_web::js::JsEngine, threads: usize) -> StudyOutput {
-        let mut cfg = StudyConfig::fast_test(76);
-        cfg.crawler.js_engine = engine;
-        cfg.set_threads(threads);
-        Study::new(cfg).run().unwrap()
-    }
-
-    /// The tentpole guarantee at study level: swapping the bytecode VM for
-    /// the treewalker changes *nothing observable* — cloaking verdicts,
-    /// PSR stream, orders, purchases, attribution, and the manifest
-    /// headline are byte-identical, at every thread count. (The merged
-    /// metric registries are *not* compared: the VM records compile-cache
-    /// counters the treewalker doesn't have.)
-    #[test]
-    fn js_engines_are_study_equivalent() {
-        let tw = run_with_engine(ss_web::js::JsEngine::TreeWalk, 1);
-        for threads in [1usize, 2, 8] {
-            let vm = run_with_engine(ss_web::js::JsEngine::Vm, threads);
-            assert_eq!(
-                tw.crawler.db.psrs, vm.crawler.db.psrs,
-                "PSRs differ (vm threads={threads})"
-            );
-            assert_eq!(tw.crawler.db.daily_counts, vm.crawler.db.daily_counts);
-            assert_eq!(
-                tw.sampler.orders_created, vm.sampler.orders_created,
-                "order volume differs (vm threads={threads})"
-            );
-            assert_eq!(tw.transactions.len(), vm.transactions.len());
-            assert_eq!(
-                tw.attribution.store_class, vm.attribution.store_class,
-                "attribution differs (vm threads={threads})"
-            );
-            assert_eq!(
-                format!("{:?}", tw.manifest.headline),
-                format!("{:?}", vm.manifest.headline),
-                "manifest headline differs (vm threads={threads})"
-            );
-            // Engines must also agree doorway-by-doorway on the verdict.
-            assert_eq!(
-                tw.crawler.db.doorway_info.len(),
-                vm.crawler.db.doorway_info.len()
-            );
-            for (id, info) in &tw.crawler.db.doorway_info {
-                assert_eq!(info.cloak, vm.crawler.db.doorway_info[id].cloak);
-            }
-        }
-    }
-
     /// The schedule is genuinely what drives the loop: dropping stages
     /// changes what gets produced, without touching the driver.
     #[test]

@@ -46,7 +46,7 @@ use ss_obs::{FlightRecorder, Registry, TraceLevel};
 use ss_types::snapshot::{Reader, Snapshot, SnapshotError, Writer};
 use ss_types::{SimDate, Url};
 use ss_web::http::{Fetcher, Request, UserAgent};
-use ss_web::js::{JsCache, JsEngine};
+use ss_web::js::JsCache;
 
 use ss_eco::World;
 
@@ -73,10 +73,6 @@ pub struct CrawlerConfig {
     /// Flight-recorder level for PSR provenance events. Off by default;
     /// enabling it changes no counter, histogram, or database byte.
     pub trace: TraceLevel,
-    /// Which JS engine renders pages (VanGogh and Dagger's JS-redirect
-    /// upgrade). The bytecode VM by default; the treewalker is kept for
-    /// differential runs. The crawl database is byte-identical either way.
-    pub js_engine: JsEngine,
 }
 
 impl Default for CrawlerConfig {
@@ -88,7 +84,6 @@ impl Default for CrawlerConfig {
             max_hops: 6,
             threads: 1,
             trace: TraceLevel::Off,
-            js_engine: JsEngine::default(),
         }
     }
 }
@@ -264,16 +259,14 @@ impl Crawler {
         // the day choke point, onto a fixed row rather than via the
         // scope stack; the cache pauses the allocation meter for the same
         // reason.
-        if self.cfg.js_engine == JsEngine::Vm {
-            let (compiles, hits) = self.js_cache.stats();
-            obs.count("simweb.js_compile", compiles - compiles_before);
-            obs.count("simweb.js_cache_hit", hits - hits_before);
-            obs.add_work(
-                "crawl/render",
-                ss_obs::WorkKind::JsCompiles,
-                compiles - compiles_before,
-            );
-        }
+        let (compiles, hits) = self.js_cache.stats();
+        obs.count("simweb.js_compile", compiles - compiles_before);
+        obs.count("simweb.js_cache_hit", hits - hits_before);
+        obs.add_work(
+            "crawl/render",
+            ss_obs::WorkKind::JsCompiles,
+            compiles - compiles_before,
+        );
     }
 
     /// Runs the map phase on `cfg.threads` scoped worker threads pulling
@@ -582,24 +575,12 @@ fn crawl_vertical(
                     ss_obs::count!(metrics, "crawl.fetches", 1, vertical = vertical);
                     ss_obs::count!(metrics, "crawl.reverifies", 1, vertical = vertical);
                     let verdict = match info.signal {
-                        CloakSignal::Iframe => vangogh::check_with(
-                            world,
-                            &url,
-                            term,
-                            cfg.max_hops,
-                            cfg.js_engine,
-                            js_cache,
-                            &metrics,
-                        ),
-                        _ => dagger::check_with(
-                            world,
-                            &url,
-                            term,
-                            cfg.max_hops,
-                            cfg.js_engine,
-                            js_cache,
-                            &metrics,
-                        ),
+                        CloakSignal::Iframe => {
+                            vangogh::check_with(world, &url, term, cfg.max_hops, js_cache, &metrics)
+                        }
+                        _ => {
+                            dagger::check_with(world, &url, term, cfg.max_hops, js_cache, &metrics)
+                        }
                     };
                     local_poisoned.insert(
                         name.to_owned(),
@@ -625,27 +606,13 @@ fn crawl_vertical(
                 // rendering pass within the per-domain budget.
                 ss_obs::count!(metrics, "crawl.fetches", 2, vertical = vertical);
                 ss_obs::count!(metrics, "crawl.detector_runs", 1, vertical = vertical);
-                let mut verdict = dagger::check_with(
-                    world,
-                    &url,
-                    term,
-                    cfg.max_hops,
-                    cfg.js_engine,
-                    js_cache,
-                    &metrics,
-                );
+                let mut verdict =
+                    dagger::check_with(world, &url, term, cfg.max_hops, js_cache, &metrics);
                 if verdict.cloaked.is_none() && cfg.render_sample > 0 {
                     ss_obs::count!(metrics, "crawl.fetches", 1, vertical = vertical);
                     ss_obs::count!(metrics, "crawl.render_passes", 1, vertical = vertical);
-                    verdict = vangogh::check_with(
-                        world,
-                        &url,
-                        term,
-                        cfg.max_hops,
-                        cfg.js_engine,
-                        js_cache,
-                        &metrics,
-                    );
+                    verdict =
+                        vangogh::check_with(world, &url, term, cfg.max_hops, js_cache, &metrics);
                 }
                 match verdict.cloaked {
                     None => {
@@ -778,7 +745,7 @@ fn visit_store(world: &World, landing: &Url, metrics: &Registry, vertical: &str)
 
 impl Snapshot for Crawler {
     const TAG: &'static str = "crawler";
-    const VERSION: u16 = 1;
+    const VERSION: u16 = 2;
 
     /// Captures everything a resumed crawl reads: config, the monitored
     /// term lists (fixed at crawl start in the study, so they must survive
@@ -795,10 +762,6 @@ impl Snapshot for Crawler {
             TraceLevel::Off => 0,
             TraceLevel::Stage => 1,
             TraceLevel::Event => 2,
-        });
-        w.put_u8(match self.cfg.js_engine {
-            JsEngine::TreeWalk => 0,
-            JsEngine::Vm => 1,
         });
         w.put_seq(&self.monitored, |w, m| {
             w.put_str(&m.name);
@@ -828,11 +791,6 @@ impl Snapshot for Crawler {
                 1 => TraceLevel::Stage,
                 2 => TraceLevel::Event,
                 b => return Err(SnapshotError::Corrupt(format!("trace level byte {b}"))),
-            },
-            js_engine: match r.get_u8()? {
-                0 => JsEngine::TreeWalk,
-                1 => JsEngine::Vm,
-                b => return Err(SnapshotError::Corrupt(format!("js engine byte {b}"))),
             },
         };
         let monitored = r.get_seq(|r| {
@@ -869,11 +827,7 @@ mod tests {
     use crate::terms;
     use ss_eco::ScenarioConfig;
 
-    fn crawl_world_engine(
-        days: u32,
-        threads: usize,
-        js_engine: JsEngine,
-    ) -> (World, Crawler, Registry) {
+    fn crawl_world_threaded(days: u32, threads: usize) -> (World, Crawler, Registry) {
         let mut w = World::build(ScenarioConfig::tiny(23)).unwrap();
         let start = SimDate::from_day_index(ss_types::CRAWL_START_DAY);
         w.run_until(start);
@@ -883,7 +837,6 @@ mod tests {
                 serp_depth: 30,
                 threads,
                 trace: TraceLevel::Event,
-                js_engine,
                 ..CrawlerConfig::default()
             },
             monitored,
@@ -895,10 +848,6 @@ mod tests {
             crawler.crawl_day_metered(&w, day, &obs);
         }
         (w, crawler, obs)
-    }
-
-    fn crawl_world_threaded(days: u32, threads: usize) -> (World, Crawler, Registry) {
-        crawl_world_engine(days, threads, JsEngine::default())
     }
 
     fn crawl_world(days: u32) -> (World, Crawler) {
@@ -1127,39 +1076,5 @@ mod tests {
         );
         assert_eq!(obs.counter_total("simweb.js_compile"), compiles);
         assert_eq!(obs.counter_total("simweb.js_cache_hit"), hits);
-    }
-
-    /// The treewalker records no compile-cache counters (it has no cache),
-    /// keeping the metric surface honest for engine-comparison studies.
-    #[test]
-    fn treewalk_records_no_js_cache_counters() {
-        let (_w, crawler, obs) = crawl_world_engine(3, 1, JsEngine::TreeWalk);
-        assert_eq!(crawler.js_cache_stats(), (0, 0));
-        assert_eq!(obs.counter_total("simweb.js_compile"), 0);
-        assert_eq!(obs.counter_total("simweb.js_cache_hit"), 0);
-    }
-
-    /// The differential guarantee at the crawl level: both engines produce
-    /// byte-identical crawl databases (verdicts, landings, PSRs, captured
-    /// store HTML) — only performance may differ.
-    #[test]
-    fn engines_produce_identical_crawl_databases() {
-        let (_w1, tw, _) = crawl_world_engine(5, 1, JsEngine::TreeWalk);
-        let (_w2, vm, _) = crawl_world_engine(5, 2, JsEngine::Vm);
-        assert_eq!(tw.db.psrs, vm.db.psrs, "PSR streams differ");
-        assert_eq!(tw.db.daily_counts, vm.db.daily_counts);
-        assert_eq!(tw.clean, vm.clean, "clean sets differ");
-        assert_eq!(tw.db.doorway_info.len(), vm.db.doorway_info.len());
-        for (id, info) in &tw.db.doorway_info {
-            let other = &vm.db.doorway_info[id];
-            assert_eq!(info.cloak, other.cloak, "cloak verdicts differ");
-            assert_eq!(info.landings, other.landings, "landings differ");
-        }
-        assert_eq!(tw.db.store_info.len(), vm.db.store_info.len());
-        for (id, info) in &tw.db.store_info {
-            let other = &vm.db.store_info[id];
-            assert_eq!(info.is_store, other.is_store);
-            assert_eq!(info.html, other.html);
-        }
     }
 }

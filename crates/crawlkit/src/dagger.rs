@@ -21,7 +21,7 @@ use ss_obs::{charge, Registry, WorkKind};
 use ss_types::Url;
 use ss_web::http::{Fetcher, Request, Response, UserAgent};
 use ss_web::js::render::render_with;
-use ss_web::js::{JsCache, JsEngine};
+use ss_web::js::JsCache;
 use ss_web::Document;
 
 /// What kind of cloaking was detected.
@@ -74,15 +74,13 @@ pub fn text_dice(a: &str, b: &str) -> f64 {
 /// Below this Dice similarity two views count as semantically different.
 pub const DICE_THRESHOLD: f64 = 0.5;
 
-/// Runs the detector against one URL with the default JS engine and the
-/// process-wide compile cache.
+/// Runs the detector against one URL with the process-wide compile cache.
 pub fn check(web: &impl Fetcher, url: &Url, term: &str, max_hops: usize) -> DaggerVerdict {
     check_with(
         web,
         url,
         term,
         max_hops,
-        JsEngine::default(),
         JsCache::global(),
         &Registry::new(),
     )
@@ -92,16 +90,14 @@ pub fn check(web: &impl Fetcher, url: &Url, term: &str, max_hops: usize) -> Dagg
 ///
 /// Takes the read plane only: detection fetches must never perturb the
 /// world, so whatever effects the fetches report are dropped here. The
-/// renderer (step 2's JS-redirect upgrade) uses `engine` and `cache`.
+/// renderer (step 2's JS-redirect upgrade) compiles through `cache`.
 /// Phase costs (fetch/render/detect) record into `obs` — the caller's
 /// per-work-item registry, so scoped totals merge deterministically.
-#[allow(clippy::too_many_arguments)]
 pub fn check_with(
     web: &impl Fetcher,
     url: &Url,
     term: &str,
     max_hops: usize,
-    engine: JsEngine,
     cache: &JsCache,
     obs: &Registry,
 ) -> DaggerVerdict {
@@ -145,7 +141,6 @@ pub fn check_with(
                 &url.to_string(),
                 UserAgent::Browser,
                 None,
-                engine,
                 cache,
             )
         };

@@ -11,7 +11,7 @@ use ss_obs::{charge, Registry, WorkKind};
 use ss_types::Url;
 use ss_web::http::{Fetcher, Request, UserAgent};
 use ss_web::js::render::render_with;
-use ss_web::js::{JsCache, JsEngine};
+use ss_web::js::JsCache;
 
 use crate::dagger::{google_referrer, CloakSignal, DaggerVerdict};
 
@@ -32,29 +32,26 @@ pub fn is_fullpage(width: &str, height: &str) -> bool {
 
 /// Renders `url` as a search-referred user and reports iframe cloaking.
 /// Pure read-plane work: any reported fetch effects are dropped. Uses the
-/// default JS engine and the process-wide compile cache.
+/// process-wide compile cache.
 pub fn check(web: &impl Fetcher, url: &Url, term: &str, max_hops: usize) -> DaggerVerdict {
     check_with(
         web,
         url,
         term,
         max_hops,
-        JsEngine::default(),
         JsCache::global(),
         &Registry::new(),
     )
 }
 
-/// [`check`] with an explicit JS engine and compile cache — the crawler's
-/// entry point (per-run cache, configurable engine). Phase costs record
-/// into `obs`, the caller's per-work-item registry.
-#[allow(clippy::too_many_arguments)]
+/// [`check`] with an explicit compile cache — the crawler's entry point
+/// (per-run cache). Phase costs record into `obs`, the caller's
+/// per-work-item registry.
 pub fn check_with(
     web: &impl Fetcher,
     url: &Url,
     term: &str,
     max_hops: usize,
-    engine: JsEngine,
     cache: &JsCache,
     obs: &Registry,
 ) -> DaggerVerdict {
@@ -77,7 +74,6 @@ pub fn check_with(
             &final_url.to_string(),
             UserAgent::Browser,
             Some(google_referrer(term).to_string().as_str()),
-            engine,
             cache,
         )
     };

@@ -19,9 +19,9 @@
 //! bitwise no-op mutations (the common case — juice re-asserted at its
 //! current level every day) keep the epoch and its cache alive.
 //!
-//! SERPs from the walk are bit-identical to the reference full scan
-//! ([`SearchEngine::serp_full_scan`]); the differential tests in
-//! `tests/epoch_differential.rs` hold the two paths together.
+//! SERPs from the walk are bit-identical to the reference full scan, a
+//! test-only `SearchEngine::serp_full_scan`; the differential tests in
+//! `src/epoch_differential.rs` hold the two paths together.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -808,7 +808,8 @@ impl SearchEngine {
     }
 
     /// Scores one document on one day.
-    pub fn score(&self, doc: DocId, day: SimDate) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn score(&self, doc: DocId, day: SimDate) -> f64 {
         let d = &self.index.docs[doc.0 as usize];
         static_score(d, self.juice(d.domain), self.penalty(d.domain))
             + jitter(self.seed, self.jitter_amp, doc, day)
@@ -859,9 +860,10 @@ impl SearchEngine {
     }
 
     /// The reference SERP: score every posting, fully sort, take `k` —
-    /// the pre-query-plane algorithm, kept as the differential-test and
-    /// bench baseline for the epoch walk.
-    pub fn serp_full_scan(&self, term: TermId, day: SimDate, k: usize) -> Serp {
+    /// the pre-query-plane algorithm, kept as the differential-test
+    /// oracle for the epoch walk.
+    #[cfg(test)]
+    pub(crate) fn serp_full_scan(&self, term: TermId, day: SimDate, k: usize) -> Serp {
         let mut scored: Vec<(f64, DocId)> = self.index.postings[term.index()]
             .iter()
             .filter(|d| self.index.docs[d.0 as usize].first_indexed <= day)

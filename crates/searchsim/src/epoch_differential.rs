@@ -7,8 +7,8 @@
 //! CI gates on this suite: a divergence here means the sorted-postings
 //! maintenance or the early-exit bound broke ranking semantics.
 
+use crate::{EngineOp, SearchEngine, Serp};
 use proptest::prelude::*;
-use ss_search::{EngineOp, SearchEngine, Serp};
 use ss_types::snapshot::Snapshot;
 use ss_types::{DomainId, SimDate, TermId, Url, VerticalId};
 
@@ -117,7 +117,7 @@ proptest! {
         let mut e = build(&docs, 3, jitter_amp);
         for di in deindex {
             if di < docs.len() {
-                e.deindex_page(ss_search::DocId(di as u32));
+                e.deindex_page(crate::DocId(di as u32));
             }
         }
         for batch in batches {
@@ -205,7 +205,7 @@ proptest! {
             e.apply_batch(ops.into_iter().map(|(kind, d, m)| to_op(kind, d, m)));
             for di in deindex {
                 if di < docs.len() {
-                    e.deindex_page(ss_search::DocId(di as u32));
+                    e.deindex_page(crate::DocId(di as u32));
                 }
             }
             if roundtrip == 1 {

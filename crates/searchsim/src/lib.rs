@@ -27,6 +27,8 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+#[cfg(test)]
+mod epoch_differential;
 pub mod suggest;
 
 pub use engine::{

@@ -1,20 +1,33 @@
-//! The differential harness that locks the bytecode VM to the treewalker.
+//! The differential harness that locks the bytecode VM to the test-only
+//! tree-walking reference ([`super::interp`]).
 //!
-//! Three layers of evidence that the engines are observably identical:
+//! Four layers of evidence that the engines are observably identical:
 //!
 //! 1. a seeded property generator over the whole Stmt/Expr grammar
 //!    (shadowing, bounded loops, DOM builtins, deliberate error paths),
 //!    asserting identical effects *and* identical `JsError`s;
 //! 2. the pinned pagegen corpus — every page template the generators can
 //!    emit, rendered by both engines under every visitor class;
-//! 3. compile-cache correctness: caching must change performance, never
+//! 3. a seed sweep over the scripted pages a crawl renders, for the
+//!    payload variety one seed per template leaves out;
+//! 4. compile-cache correctness: caching must change performance, never
 //!    results or determinism.
+//!
+//! It also holds the VM's reason to exist, the ≥2× script speedup over the
+//! reference, as an `#[ignore]`d wall-clock gate for release CI.
+
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use rand::Rng;
 use ss_types::rng::{sub_rng, SimRng};
-use ss_web::js::{render::render_with, run_script_with, JsCache, JsEngine, PageEnv};
-use ss_web::pagegen::{awstats, doorway, legit, notice, storefront};
-use ss_web::UserAgent;
+
+use super::interp::run_tree;
+use super::render::{render_by, render_with};
+use super::{run_script_with, JsCache, JsError, PageEnv};
+use crate::html::Document;
+use crate::pagegen::{awstats, doorway, legit, notice, storefront};
+use crate::UserAgent;
 
 /// Runs one source string through both engines against identical
 /// environments and asserts every observable agrees.
@@ -29,8 +42,8 @@ fn assert_engines_agree(src: &str, ctx: &str) {
     };
     let mut tw_env = mk_env();
     let mut vm_env = mk_env();
-    let tw = run_script_with(src, &mut tw_env, JsEngine::TreeWalk, &JsCache::new());
-    let vm = run_script_with(src, &mut vm_env, JsEngine::Vm, &JsCache::new());
+    let tw = run_tree(src, &mut tw_env);
+    let vm = run_script_with(src, &mut vm_env, &JsCache::new());
     assert_eq!(tw, vm, "result diverged ({ctx})\nsource:\n{src}");
     assert_eq!(
         tw_env.effects, vm_env.effects,
@@ -393,42 +406,108 @@ fn pagegen_corpus() -> Vec<(String, String)> {
     out
 }
 
+/// The visitor classes the crawler renders as: a search-referred user, a
+/// direct visit, and the crawler's own agent.
+const VISITORS: [(UserAgent, Option<&str>); 3] = [
+    (
+        UserAgent::Browser,
+        Some("http://www.google.com/search?q=bags"),
+    ),
+    (UserAgent::Browser, None),
+    (UserAgent::GoogleBot, None),
+];
+
+/// Renders `html` through the reference and through the VM (on a fresh
+/// cache) as every visitor class and asserts every observable agrees.
+fn assert_renders_agree(name: &str, html: &str) {
+    let url = "http://site.example.com/page";
+    for (ua, referrer) in VISITORS {
+        let tw = render_by(html, url, ua, referrer, run_tree);
+        let vm = render_with(html, url, ua, referrer, &JsCache::new());
+        assert_eq!(
+            tw.doc, vm.doc,
+            "DOM diverged: {name} ({ua:?}, {referrer:?})"
+        );
+        assert_eq!(
+            tw.js_redirect, vm.js_redirect,
+            "redirect diverged: {name} ({ua:?}, {referrer:?})"
+        );
+        assert_eq!(
+            tw.script_errors, vm.script_errors,
+            "error count diverged: {name} ({ua:?}, {referrer:?})"
+        );
+        assert_eq!(
+            tw.effects, vm.effects,
+            "effects diverged: {name} ({ua:?}, {referrer:?})"
+        );
+    }
+}
+
 #[test]
 fn pagegen_corpus_renders_identically() {
-    let visitors = [
-        (
-            UserAgent::Browser,
-            Some("http://www.google.com/search?q=bags"),
-        ),
-        (UserAgent::Browser, None),
-        (UserAgent::GoogleBot, None),
-    ];
     for (name, html) in pagegen_corpus() {
-        for (ua, referrer) in visitors {
-            let tw_cache = JsCache::new();
-            let vm_cache = JsCache::new();
-            let url = "http://site.example.com/page";
-            let tw = render_with(&html, url, ua, referrer, JsEngine::TreeWalk, &tw_cache);
-            let vm = render_with(&html, url, ua, referrer, JsEngine::Vm, &vm_cache);
-            assert_eq!(
-                tw.doc, vm.doc,
-                "DOM diverged: {name} ({ua:?}, {referrer:?})"
+        assert_renders_agree(&name, &html);
+    }
+}
+
+/// The world calls the same generators with a per-doorway (seed, term)
+/// obfuscation RNG and a per-campaign store template, so the corpus's one
+/// seed apiece covers a sliver of the payloads a crawl renders. Sweep the
+/// scripted pages over 48 seeds, each with its own term, target and
+/// campaign.
+#[test]
+fn pagegen_seed_sweep_renders_identically() {
+    const TERMS: [&str; 4] = [
+        "cheap louis vuitton",
+        "gucci outlet online",
+        "uggs on sale",
+        "beats by dre",
+    ];
+    for seed in 0..48u64 {
+        let term = TERMS[seed as usize % TERMS.len()];
+        let domain = format!("doorway{seed}.example.com");
+        let target = format!("http://store{seed}.example.com/");
+        let dctx = doorway::DoorwayCtx {
+            domain: &domain,
+            term,
+            brand: "Louis Vuitton",
+            backlinks: &[],
+            seed,
+        };
+        assert_renders_agree(
+            &format!("doorway/js-redirect seed {seed}"),
+            &doorway::seo_page_with_js_redirect(&dctx, &target),
+        );
+        for level in 0..=3u8 {
+            assert_renders_agree(
+                &format!("doorway/iframe-obf{level} seed {seed}"),
+                &doorway::iframe_page(&dctx, &target, level),
             );
-            assert_eq!(
-                tw.js_redirect, vm.js_redirect,
-                "redirect diverged: {name} ({ua:?}, {referrer:?})"
-            );
-            assert_eq!(
-                tw.script_errors, vm.script_errors,
-                "error count diverged: {name} ({ua:?}, {referrer:?})"
-            );
-            assert_eq!(
-                tw.effects, vm.effects,
-                "effects diverged: {name} ({ua:?}, {referrer:?})"
-            );
-            // The treewalker never touches a compile cache.
-            assert_eq!(tw_cache.stats(), (0, 0));
         }
+
+        let campaign = format!("campaign {seed}");
+        let template = storefront::StoreTemplate::for_campaign(&campaign, seed);
+        let sctx = storefront::StoreCtx {
+            domain: &domain,
+            store_name: &campaign,
+            template: &template,
+            brands: &["Louis Vuitton", "Gucci"],
+            locale: "us",
+            merchant_id: "M-1031",
+            seed,
+        };
+        assert_renders_agree(
+            &format!("store/home seed {seed}"),
+            &storefront::home_page(&sctx),
+        );
+        assert_renders_agree(
+            &format!("store/product seed {seed}"),
+            &storefront::product_page(&sctx, seed as u32 % 5),
+        );
+        assert_renders_agree(
+            &format!("store/checkout seed {seed}"),
+            &storefront::checkout_page(&sctx, 9000 + seed),
+        );
     }
 }
 
@@ -442,28 +521,14 @@ fn same_template_compiles_once() {
         .find(|(name, _)| name == "doorway/iframe-obf1")
         .map(|(_, html)| html)
         .unwrap();
-    let r1 = render_with(
-        &html,
-        "http://a.com/",
-        UserAgent::Browser,
-        None,
-        JsEngine::Vm,
-        &cache,
-    );
+    let r1 = render_with(&html, "http://a.com/", UserAgent::Browser, None, &cache);
     let (compiles_first, hits_first) = cache.stats();
     assert!(compiles_first > 0, "rendering a JS page must compile");
     assert_eq!(hits_first, 0, "first render cannot hit the cache");
 
     // Re-render the *same template* many times: zero new compiles.
     for _ in 0..10 {
-        let r = render_with(
-            &html,
-            "http://a.com/",
-            UserAgent::Browser,
-            None,
-            JsEngine::Vm,
-            &cache,
-        );
+        let r = render_with(&html, "http://a.com/", UserAgent::Browser, None, &cache);
         assert_eq!(r.doc, r1.doc);
     }
     let (compiles_after, hits_after) = cache.stats();
@@ -484,9 +549,9 @@ fn mutated_content_invalidates() {
     let src_a = "document.write('A');";
     let src_b = "document.write('B');";
     let mut env = PageEnv::default();
-    run_script_with(src_a, &mut env, JsEngine::Vm, &cache).unwrap();
-    run_script_with(src_b, &mut env, JsEngine::Vm, &cache).unwrap();
-    run_script_with(src_a, &mut env, JsEngine::Vm, &cache).unwrap();
+    run_script_with(src_a, &mut env, &cache).unwrap();
+    run_script_with(src_b, &mut env, &cache).unwrap();
+    run_script_with(src_a, &mut env, &cache).unwrap();
     assert_eq!(env.effects.written_html, "ABA");
     let (compiles, hits) = cache.stats();
     assert_eq!(compiles, 2, "two distinct sources, two compiles");
@@ -499,8 +564,8 @@ fn parse_failures_are_cached_too() {
     let bad = "var = ((;";
     let mut env = PageEnv::default();
     for _ in 0..3 {
-        let e = run_script_with(bad, &mut env, JsEngine::Vm, &cache).unwrap_err();
-        assert!(matches!(e, ss_web::js::JsError::Syntax(_)));
+        let e = run_script_with(bad, &mut env, &cache).unwrap_err();
+        assert!(matches!(e, JsError::Syntax(_)));
     }
     let (compiles, hits) = cache.stats();
     assert_eq!(
@@ -521,27 +586,13 @@ fn eval_chunks_cache_across_renders() {
         .map(|(_, html)| html)
         .unwrap();
     for _ in 0..3 {
-        let r = render_with(
-            &html,
-            "http://a.com/",
-            UserAgent::Browser,
-            None,
-            JsEngine::Vm,
-            &cache,
-        );
+        let r = render_with(&html, "http://a.com/", UserAgent::Browser, None, &cache);
         assert_eq!(r.iframes().len(), 1, "obf3 payload must attach its iframe");
     }
     let (compiles, hits) = cache.stats();
     assert!(compiles >= 2, "main chunk + eval chunk");
     let (c2, h2) = {
-        let r = render_with(
-            &html,
-            "http://a.com/",
-            UserAgent::Browser,
-            None,
-            JsEngine::Vm,
-            &cache,
-        );
+        let r = render_with(&html, "http://a.com/", UserAgent::Browser, None, &cache);
         assert_eq!(r.iframes().len(), 1);
         cache.stats()
     };
@@ -564,14 +615,7 @@ fn cache_stats_deterministic_across_threads() {
                     for (i, (_, html)) in corpus.iter().enumerate() {
                         if i % threads == t {
                             for _ in 0..3 {
-                                render_with(
-                                    html,
-                                    "http://a.com/",
-                                    UserAgent::Browser,
-                                    None,
-                                    JsEngine::Vm,
-                                    cache,
-                                );
+                                render_with(html, "http://a.com/", UserAgent::Browser, None, cache);
                             }
                         }
                     }
@@ -583,4 +627,78 @@ fn cache_stats_deterministic_across_threads() {
     let single = run_once(1);
     assert_eq!(single, run_once(2), "2-thread stats differ from 1-thread");
     assert_eq!(single, run_once(8), "8-thread stats differ from 1-thread");
+}
+
+// ------------------------------------------------------- speedup gate ----
+
+/// A pre-parsed page: its scripts plus the environment a fresh visit
+/// starts from, so a timed sweep runs scripts and nothing else.
+fn script_case(html: &str) -> (Vec<String>, PageEnv) {
+    let doc = Document::parse(html);
+    let mut env = PageEnv::browser("http://d.com/", Some("http://google.com/search?q=x"));
+    env.title = doc.title().unwrap_or_default();
+    env.dom_ids = doc
+        .elements()
+        .iter()
+        .filter_map(|e| e.attr("id").map(str::to_owned))
+        .collect();
+    (doc.scripts(), env)
+}
+
+/// Wall clock of `sweeps` passes over every case, with a fresh
+/// environment per page visit.
+fn time_sweeps(
+    cases: &[(Vec<String>, PageEnv)],
+    sweeps: usize,
+    mut run: impl FnMut(&str, &mut PageEnv) -> Result<(), JsError>,
+) -> Duration {
+    let t0 = Instant::now();
+    for _ in 0..sweeps {
+        for (scripts, env) in cases {
+            let mut env = env.clone();
+            for src in scripts {
+                let _ = black_box(run(black_box(src), &mut env));
+            }
+        }
+    }
+    t0.elapsed()
+}
+
+/// The VM must run the corpus's scripts at least 2× faster than the
+/// reference on a warm chunk cache. A single timed round per engine swings
+/// with host noise, so the two engines' rounds interleave and each
+/// engine's fastest of seven, its least-disturbed run, is compared.
+#[test]
+#[ignore = "wall-clock gate; run single-threaded in release CI"]
+fn vm_runs_scripts_at_least_twice_as_fast_as_the_reference() {
+    const ROUNDS: usize = 7;
+    const SWEEPS: usize = 40;
+    let cases: Vec<(Vec<String>, PageEnv)> = pagegen_corpus()
+        .iter()
+        .map(|(_, html)| script_case(html))
+        .collect();
+    let cache = JsCache::new();
+    let mut vm = |src: &str, env: &mut PageEnv| run_script_with(src, env, &cache);
+    // Warm-up pass: compiles every chunk before the timed rounds.
+    time_sweeps(&cases, 1, run_tree);
+    time_sweeps(&cases, 1, &mut vm);
+
+    let mut tree_best = Duration::MAX;
+    let mut vm_best = Duration::MAX;
+    for _ in 0..ROUNDS {
+        tree_best = tree_best.min(time_sweeps(&cases, SWEEPS, run_tree));
+        vm_best = vm_best.min(time_sweeps(&cases, SWEEPS, &mut vm));
+    }
+    let speedup = tree_best.as_secs_f64() / vm_best.as_secs_f64();
+    println!(
+        "[js speedup] {} pages x {SWEEPS} sweeps, fastest of {ROUNDS} rounds: \
+         reference {:.2} ms, vm {:.2} ms, {speedup:.2}x",
+        cases.len(),
+        tree_best.as_secs_f64() * 1e3,
+        vm_best.as_secs_f64() * 1e3,
+    );
+    assert!(
+        speedup >= 2.0,
+        "the VM runs scripts only {speedup:.2}x faster than the reference (bar: 2x)"
+    );
 }

@@ -1,18 +1,28 @@
-//! The tree-walking interpreter — the reference engine.
+//! The tree-walking interpreter — the test-only reference engine.
 //!
 //! All observable semantics (member access, DOM effects, method dispatch,
 //! coercions, builtins, error strings) live in [`super::runtime`] and are
 //! shared with the bytecode VM; this module contributes only the AST walk
 //! itself: scope-chain `HashMap`s, statement/expression ticks, and
 //! `Flow`-based `return` propagation. The differential harness in
-//! `tests/js_differential.rs` locks the two engines together.
+//! [`super::differential`] locks the two engines together through
+//! [`run_tree`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use super::ast::{BinOp, Expr, Stmt};
+use super::parser::parse_program;
 use super::runtime::{self, Builtin, FuncDef, JsError, PageEnv, Value, MAX_CALL_DEPTH, MAX_STEPS};
+
+/// Parses and runs a script on the tree-walker: the reference counterpart
+/// of [`super::run_script_with`], with the same signature as the script
+/// runner [`super::render::render_by`] takes.
+pub(crate) fn run_tree(src: &str, env: &mut PageEnv) -> Result<(), JsError> {
+    let prog = parse_program(src).map_err(|e| JsError::Syntax(e.to_string()))?;
+    Interpreter::new(env).run(&prog)
+}
 
 enum Flow {
     Normal,
@@ -266,8 +276,8 @@ impl<'e> Interpreter<'e> {
                 Some(Builtin::Eval) => {
                     // Real payloads love eval(obfuscated-string). Re-enter.
                     let src = argv.first().map(Value::to_js_string).unwrap_or_default();
-                    let prog = super::parser::parse_program(&src)
-                        .map_err(|e| JsError::Runtime(format!("eval: {e}")))?;
+                    let prog =
+                        parse_program(&src).map_err(|e| JsError::Runtime(format!("eval: {e}")))?;
                     if self.depth >= MAX_CALL_DEPTH {
                         return self.rt("maximum call depth exceeded");
                     }

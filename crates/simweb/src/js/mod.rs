@@ -5,8 +5,8 @@
 //! payloads are "frequently obfuscated … in some cases the iframe itself is
 //! dynamically generated". Detecting it therefore "requires a complete
 //! browser that evaluates JavaScript". This module is that (small) browser
-//! core: a lexer, a recursive-descent parser, and two execution engines
-//! with the DOM bindings the ecosystem's payloads use:
+//! core: a lexer, a recursive-descent parser, and a bytecode VM with the
+//! DOM bindings the ecosystem's payloads use:
 //!
 //! * `document.write`, `document.createElement`, `document.getElementById`,
 //!   `document.body.appendChild`, element attribute assignment;
@@ -21,21 +21,24 @@
 //! comparison/arithmetic operators, arrays, and calls. Execution is bounded
 //! by a step budget so hostile pages cannot hang the crawler.
 //!
-//! # Engines
+//! # Execution
 //!
-//! The default engine compiles to bytecode ([`compile`]/[`vm`] internally):
-//! names resolve to frame slot indices at compile time, constants fold,
-//! and compiled chunks cache per script source in a [`JsCache`] — pagegen
+//! Scripts compile to bytecode ([`compile`]/[`vm`] internally): names
+//! resolve to frame slot indices at compile time, constants fold, and
+//! compiled chunks cache per script source in a [`JsCache`] — pagegen
 //! emits scripts per template, so a crawl compiles a handful of scripts
 //! and replays them millions of times. The original tree-walking
-//! interpreter survives as [`JsEngine::TreeWalk`], the reference the
-//! differential harness checks the VM against; both share every
+//! interpreter survives only in test builds, as the reference the
+//! in-crate differential harness checks the VM against; both share every
 //! observable semantic through one runtime layer.
 
 mod ast;
 mod bytecode;
 mod cache;
 mod compile;
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
 mod interp;
 mod lexer;
 mod parser;
@@ -47,64 +50,26 @@ mod vm;
 
 pub use ast::{BinOp, Expr, Stmt, UnOp};
 pub use cache::JsCache;
-pub use interp::Interpreter;
 pub use lexer::{lex, LexError, Tok};
 pub use parser::{parse_program, ParseError};
 pub use runtime::{DynElement, JsError, PageEnv, RenderEffects, Value};
 
 use cache::CompileMode;
 
-/// Which execution engine runs page scripts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JsEngine {
-    /// The original tree-walking interpreter: re-walks the AST with
-    /// scope-chain `HashMap` lookups. Kept as the differential-testing
-    /// reference.
-    TreeWalk,
-    /// The bytecode VM over cached compiled chunks — the default.
-    #[default]
-    Vm,
-}
-
-impl JsEngine {
-    /// Parses an engine name (`"treewalk"` / `"vm"`), as accepted by
-    /// `repro --js-engine`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "treewalk" | "tree-walk" | "interp" => Some(JsEngine::TreeWalk),
-            "vm" | "bytecode" => Some(JsEngine::Vm),
-            _ => None,
-        }
-    }
-}
-
 /// Parses and runs a script against a page environment, accumulating
 /// effects. Errors are returned, not panicked — hostile or truncated
-/// scripts are an expected crawler input. Uses the default engine and the
-/// process-wide compile cache.
+/// scripts are an expected crawler input. Uses the process-wide compile
+/// cache.
 pub fn run_script(src: &str, env: &mut PageEnv) -> Result<(), JsError> {
-    run_script_with(src, env, JsEngine::default(), JsCache::global())
+    run_script_with(src, env, JsCache::global())
 }
 
-/// [`run_script`] with an explicit engine and compile cache. The cache is
-/// only consulted by [`JsEngine::Vm`]; scoped callers (the crawler) pass
-/// their own so per-run compile/hit counters stay meaningful.
-pub fn run_script_with(
-    src: &str,
-    env: &mut PageEnv,
-    engine: JsEngine,
-    cache: &JsCache,
-) -> Result<(), JsError> {
-    match engine {
-        JsEngine::TreeWalk => {
-            let prog = parse_program(src).map_err(|e| JsError::Syntax(e.to_string()))?;
-            Interpreter::new(env).run(&prog)
-        }
-        JsEngine::Vm => {
-            let chunk = cache
-                .chunk_for(src, CompileMode::Main)
-                .map_err(JsError::Syntax)?;
-            vm::run_chunk(env, &chunk, cache)
-        }
-    }
+/// [`run_script`] with an explicit compile cache. Scoped callers (the
+/// crawler) pass their own so per-run compile/hit counters stay
+/// meaningful.
+pub fn run_script_with(src: &str, env: &mut PageEnv, cache: &JsCache) -> Result<(), JsError> {
+    let chunk = cache
+        .chunk_for(src, CompileMode::Main)
+        .map_err(JsError::Syntax)?;
+    vm::run_chunk(env, &chunk, cache)
 }

@@ -1,6 +1,6 @@
 //! Edge-case and fuzz-regression tests for the lexer and parser.
 //!
-//! The differential harness (`tests/js_differential.rs`) checks that the two
+//! The differential harness ([`super::differential`]) checks that the two
 //! engines agree; these tests check that the *front end* they share neither
 //! panics nor mis-shapes the AST on hostile input. Every case that once
 //! panicked is pinned here so it cannot regress.

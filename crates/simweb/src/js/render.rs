@@ -10,8 +10,8 @@
 use crate::html::{Document, Element, Node};
 use crate::http::UserAgent;
 
-use super::runtime::{PageEnv, RenderEffects};
-use super::{JsCache, JsEngine};
+use super::runtime::{JsError, PageEnv, RenderEffects};
+use super::JsCache;
 
 /// The result of rendering a page.
 #[derive(Debug, Clone)]
@@ -50,26 +50,33 @@ impl Rendered {
 /// full JS engine and is much more expensive than a plain fetch, which is
 /// why VanGogh samples at most three pages per doorway domain.
 pub fn render(html: &str, url: &str, user_agent: UserAgent, referrer: Option<&str>) -> Rendered {
-    render_with(
-        html,
-        url,
-        user_agent,
-        referrer,
-        JsEngine::default(),
-        JsCache::global(),
-    )
+    render_with(html, url, user_agent, referrer, JsCache::global())
 }
 
-/// [`render`] with an explicit engine and compile cache — the crawler's
-/// entry point (it owns a per-run cache so compile/hit counters are
-/// per-run), and the differential harness's way of pinning an engine.
+/// [`render`] with an explicit compile cache — the crawler's entry point
+/// (it owns a per-run cache so compile/hit counters are per-run).
 pub fn render_with(
     html: &str,
     url: &str,
     user_agent: UserAgent,
     referrer: Option<&str>,
-    engine: JsEngine,
     cache: &JsCache,
+) -> Rendered {
+    render_by(html, url, user_agent, referrer, |src, env| {
+        super::run_script_with(src, env, cache)
+    })
+}
+
+/// The rendering pipeline with the script runner as a parameter:
+/// [`render_with`] passes the VM, and the differential harness passes the
+/// test-only tree-walking reference, so both engines render through one
+/// parse/execute/fold path.
+pub(crate) fn render_by(
+    html: &str,
+    url: &str,
+    user_agent: UserAgent,
+    referrer: Option<&str>,
+    mut run: impl FnMut(&str, &mut PageEnv) -> Result<(), JsError>,
 ) -> Rendered {
     let doc = Document::parse(html);
     let mut env = PageEnv {
@@ -87,7 +94,7 @@ pub fn render_with(
 
     let mut script_errors = 0;
     for src in doc.scripts() {
-        if super::run_script_with(&src, &mut env, engine, cache).is_err() {
+        if run(&src, &mut env).is_err() {
             script_errors += 1;
         }
     }

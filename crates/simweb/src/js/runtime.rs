@@ -1,20 +1,22 @@
 //! The shared runtime layer: the value model, the page (DOM) environment,
 //! and every semantic primitive both engines use.
 //!
-//! The tree-walking interpreter ([`super::interp`]) and the bytecode VM
-//! ([`super::vm`]) differ only in control flow, name resolution, and step
-//! accounting. Everything observable — member access, DOM mutation, method
-//! dispatch, coercion, builtin functions, error strings — lives here as
-//! free functions over [`PageEnv`], so the two engines agree on these
-//! semantics by construction and the differential harness only has to lock
-//! the execution machinery.
+//! The bytecode VM ([`super::vm`]) and the test-only tree-walking
+//! reference interpreter differ only in control flow, name resolution,
+//! and step accounting. Everything observable — member access, DOM
+//! mutation, method dispatch, coercion, builtin functions, error strings —
+//! lives here as free functions over [`PageEnv`], so the two engines agree
+//! on these semantics by construction and the differential harness only
+//! has to lock the execution machinery.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use super::ast::{BinOp, Stmt, UnOp};
+#[cfg(test)]
+use super::ast::Stmt;
+use super::ast::{BinOp, UnOp};
 use super::bytecode::Chunk;
 
 /// Step budget shared by both engines: one step per statement, per
@@ -162,22 +164,25 @@ pub enum Value {
     Function(Rc<FuncDef>),
 }
 
-/// A user-defined function definition. The treewalker carries the AST
-/// body; VM-created functions instead reference a compiled proto inside a
-/// shared [`Chunk`]. Both flow through [`Value::Function`] so coercions
-/// (`truthy`, `to_js_string`, loose equality) agree between engines.
+/// A user-defined function definition. VM-created functions reference a
+/// compiled proto inside a shared [`Chunk`]; in test builds the reference
+/// tree-walker's functions carry their AST body instead. Both flow through
+/// [`Value::Function`] so coercions (`truthy`, `to_js_string`, loose
+/// equality) agree between engines.
 #[derive(Debug)]
 pub struct FuncDef {
     /// Parameter names.
     pub params: Vec<String>,
     /// Body statements (empty for VM-compiled functions).
-    pub body: Vec<Stmt>,
+    #[cfg(test)]
+    pub(crate) body: Vec<Stmt>,
     /// Compiled form: `(chunk, proto index)`, set by the VM only.
     pub(crate) compiled: Option<(Arc<Chunk>, usize)>,
 }
 
 impl FuncDef {
     /// A tree-walker function (AST body).
+    #[cfg(test)]
     pub(crate) fn tree(params: Vec<String>, body: Vec<Stmt>) -> Self {
         FuncDef {
             params,
@@ -190,6 +195,7 @@ impl FuncDef {
     pub(crate) fn vm(params: Vec<String>, chunk: Arc<Chunk>, proto: usize) -> Self {
         FuncDef {
             params,
+            #[cfg(test)]
             body: Vec::new(),
             compiled: Some((chunk, proto)),
         }

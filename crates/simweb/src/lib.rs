@@ -12,7 +12,7 @@
 //!   with the query operations the crawler needs (text extraction, iframe
 //!   geometry, link harvesting);
 //! * [`js`] — a miniature JavaScript: lexer, recursive-descent parser and a
-//!   tree-walking interpreter with DOM bindings (`document.write`,
+//!   cached bytecode VM with DOM bindings (`document.write`,
 //!   `createElement`, `window.location`, `String.fromCharCode`, …) rich
 //!   enough to run the obfuscated iframe-cloaking payloads the page
 //!   generators emit — and therefore rich enough that "rendering a page"
