@@ -132,63 +132,6 @@ fn bench_tick_scaling(c: &mut Criterion) {
     }
 }
 
-/// Nested-struct vs component-table scan over the traffic planner's hot
-/// path: the per-store eligibility filter (retired / not-yet-created /
-/// seized) plus the per-store arithmetic. The nested baseline is the
-/// pre-refactor layout, rebuilt via `materialize`; the table side reads
-/// raw columns, the access discipline `plan.rs` planners use.
-fn bench_entity_scan(c: &mut Criterion) {
-    let mut w = World::build(ScenarioConfig::small(17)).expect("world");
-    w.run_until(SimDate::from_day_index(ss_types::CRAWL_START_DAY + 10));
-    let day = w.day;
-    // Replicate the run's store fleet to paper-like counts (tens of
-    // thousands of stores) so the scan leaves cache and the layouts'
-    // memory traffic actually differs; a small world fits in L2 whole.
-    let mut nested: Vec<ss_eco::store::StoreState> = Vec::new();
-    let mut table = ss_eco::StoreTable::default();
-    for rep in 0..200 {
-        for i in 0..w.stores.len() {
-            let mut s = w.stores.materialize(ss_types::StoreId::from_index(i));
-            s.id = ss_types::StoreId::from_index(rep * w.stores.len() + i);
-            table.push(s.clone());
-            nested.push(s);
-        }
-    }
-
-    c.bench_function("tick/traffic_scan_nested", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for s in &nested {
-                if s.retired || s.created > day {
-                    continue;
-                }
-                if w.domains.seizure_of(s.current_domain).is_some() {
-                    continue;
-                }
-                acc += s.order_counter;
-            }
-            acc
-        })
-    });
-    c.bench_function("tick/traffic_scan_table", |b| {
-        let (retired, created) = (table.retired_col(), table.created_col());
-        let (domains, counters) = (table.current_domain_col(), table.order_counter_col());
-        b.iter(|| {
-            let mut acc = 0u64;
-            for i in 0..retired.len() {
-                if retired[i] || created[i] > day {
-                    continue;
-                }
-                if w.domains.seizure_of(domains[i]).is_some() {
-                    continue;
-                }
-                acc += counters[i];
-            }
-            acc
-        })
-    });
-}
-
 fn bench_purchase_pair(c: &mut Criterion) {
     let mut w = World::build(ScenarioConfig::tiny(11)).expect("world");
     let start = SimDate::from_day_index(ss_types::CRAWL_START_DAY);
@@ -222,10 +165,9 @@ fn bench_purchase_pair(c: &mut Criterion) {
     });
 }
 
-/// The analysis data plane over a `Scale::small` crawl corpus: one fused
-/// pass (serial and sharded) vs. the legacy shape of one pass per
-/// analysis module. Same aggregators, same outputs — the delta is pure
-/// scan-count and scheduling.
+/// The analysis data plane over a `Scale::small` crawl corpus: the one
+/// fused pass, serial and sharded over four threads. Same aggregators,
+/// same outputs — the delta is pure scheduling.
 fn bench_analysis_scan(c: &mut Criterion) {
     let mut cfg = StudyConfig::new(ScenarioConfig::small(13));
     cfg.monitored_terms = 8;
@@ -260,17 +202,6 @@ fn bench_analysis_scan(c: &mut Criterion) {
             )
         })
     });
-    c.bench_function("analysis/per_module_small", |b| {
-        b.iter(|| {
-            StudyScan::compute_per_module(
-                &out.crawler.db,
-                &out.attribution,
-                out.monitored.len(),
-                out.window,
-                &obs,
-            )
-        })
-    });
 }
 
 criterion_group! {
@@ -278,6 +209,6 @@ criterion_group! {
     // World builds and crawl days are hundreds of ms each; a small sample
     // budget keeps `cargo bench` wall time reasonable.
     config = Criterion::default().sample_size(10);
-    targets = bench_detectors, bench_crawl_day, bench_crawl_day_scaling, bench_world_tick, bench_tick_scaling, bench_entity_scan, bench_purchase_pair, bench_analysis_scan
+    targets = bench_detectors, bench_crawl_day, bench_crawl_day_scaling, bench_world_tick, bench_tick_scaling, bench_purchase_pair, bench_analysis_scan
 }
 criterion_main!(benches);

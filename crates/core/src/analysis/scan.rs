@@ -616,42 +616,4 @@ impl StudyScan {
             day_domains,
         }
     }
-
-    /// The pre-refactor shape, kept for benchmarking the fusion win: the
-    /// same aggregators run as five **separate** serial passes over the
-    /// corpus (each ticking `analysis.passes` once).
-    pub fn compute_per_module(
-        db: &CrawlDb,
-        attribution: &Attribution,
-        n_verticals: usize,
-        window: (SimDate, SimDate),
-        obs: &Registry,
-    ) -> StudyScan {
-        let ctx = ScanCtx::new(db, attribution, n_verticals, window);
-        let (rows, labeled_psrs, label_missed) = run_scan(&db.psrs, 1, obs, || CountsAgg {
-            ctx: &ctx,
-            rows: 0,
-            labeled: 0,
-            missed: 0,
-        });
-        let classes = run_scan(&db.psrs, 1, obs, || ClassAgg::new(&ctx));
-        let verticals = run_scan(&db.psrs, 1, obs, || VerticalAgg::new(&ctx));
-        let (landings, landing_verticals) = run_scan(&db.psrs, 1, obs, || LandingAgg {
-            ctx: &ctx,
-            daily: HashMap::new(),
-            verticals: HashSet::new(),
-        });
-        let day_domains = run_scan(&db.psrs, 1, obs, ChurnAgg::default);
-        StudyScan {
-            window,
-            rows,
-            labeled_psrs,
-            label_missed,
-            classes,
-            verticals,
-            landings,
-            landing_verticals,
-            day_domains,
-        }
-    }
 }

@@ -14,10 +14,10 @@
 //! to aggregation code without copying. Because the crawler replays event
 //! logs day by day and vertical by vertical, rows arrive sorted by
 //! `(day, vertical)`; the store records the start of each such run, which
-//! turns day-window and per-vertical queries into range lookups instead
-//! of full scans. Should an out-of-order append ever happen (hand-built
-//! stores in tests), the index is dropped and every query transparently
-//! falls back to a filtered scan — results never change, only speed.
+//! turns day queries and day-aligned shards into range lookups instead of
+//! full scans. That order is an invariant: an out-of-order `push` panics,
+//! and a checkpoint frame holding out-of-order rows decodes to
+//! [`SnapshotError::Corrupt`].
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -66,12 +66,13 @@ struct Run {
     start: u32,
 }
 
-/// Columnar (struct-of-arrays) PSR storage with `(day, vertical)` range
-/// indices. Logically a `Vec<PsrRecord>` in append order — `push`, `len`,
+/// Columnar (struct-of-arrays) PSR storage with a `(day, vertical)` run
+/// index. Logically a `Vec<PsrRecord>` in append order — `push`, `len`,
 /// `get`, and `iter` behave exactly like the row-store it replaced, and
 /// equality compares only row content — but scans read per-field column
-/// slices via [`PsrStore::columns`].
-#[derive(Debug, Clone)]
+/// slices via [`PsrStore::columns`]. Rows append in `(day, vertical)`
+/// order (the crawler's replay order).
+#[derive(Debug, Clone, Default)]
 pub struct PsrStore {
     day: Vec<SimDate>,
     vertical: Vec<u16>,
@@ -81,28 +82,8 @@ pub struct PsrStore {
     is_root: Vec<bool>,
     labeled: Vec<bool>,
     landing: Vec<u32>,
-    /// Run starts, valid while rows arrive `(day, vertical)`-sorted (the
-    /// crawler's replay order); dropped on the first out-of-order append,
-    /// after which queries fall back to filtered scans.
+    /// Start row of each maximal `(day, vertical)` run.
     runs: Vec<Run>,
-    ordered: bool,
-}
-
-impl Default for PsrStore {
-    fn default() -> Self {
-        PsrStore {
-            day: Vec::new(),
-            vertical: Vec::new(),
-            term: Vec::new(),
-            rank: Vec::new(),
-            domain: Vec::new(),
-            is_root: Vec::new(),
-            labeled: Vec::new(),
-            landing: Vec::new(),
-            runs: Vec::new(),
-            ordered: true,
-        }
-    }
 }
 
 impl PartialEq for PsrStore {
@@ -123,28 +104,27 @@ impl PartialEq for PsrStore {
 impl Eq for PsrStore {}
 
 impl PsrStore {
-    /// Appends a record, maintaining the run index while appends stay
-    /// `(day, vertical)`-sorted.
+    /// Appends a record, extending the run index.
+    ///
+    /// # Panics
+    ///
+    /// If `r` sorts before the last row by `(day, vertical)`.
     pub fn push(&mut self, r: PsrRecord) {
         debug_assert_ne!(
             r.landing,
             Some(NO_LANDING),
             "landing id collides with sentinel"
         );
-        let row = self.day.len() as u32;
-        if self.ordered {
-            match self.runs.last() {
-                Some(last) if (r.day, r.vertical) < (last.day, last.vertical) => {
-                    self.ordered = false;
-                    self.runs.clear();
-                }
-                Some(last) if (r.day, r.vertical) == (last.day, last.vertical) => {}
-                _ => self.runs.push(Run {
-                    day: r.day,
-                    vertical: r.vertical,
-                    start: row,
-                }),
-            }
+        assert!(
+            self.in_order(&r),
+            "PSR rows append in (day, vertical) order"
+        );
+        if self.runs.last().map(|l| (l.day, l.vertical)) != Some((r.day, r.vertical)) {
+            self.runs.push(Run {
+                day: r.day,
+                vertical: r.vertical,
+                start: self.day.len() as u32,
+            });
         }
         self.day.push(r.day);
         self.vertical.push(r.vertical);
@@ -154,6 +134,13 @@ impl PsrStore {
         self.is_root.push(r.is_root);
         self.labeled.push(r.labeled);
         self.landing.push(r.landing.unwrap_or(NO_LANDING));
+    }
+
+    /// Whether `r` may follow the last row (`push` would accept it).
+    fn in_order(&self, r: &PsrRecord) -> bool {
+        self.runs
+            .last()
+            .is_none_or(|last| (r.day, r.vertical) >= (last.day, last.vertical))
     }
 
     /// Number of rows.
@@ -193,68 +180,30 @@ impl PsrStore {
         }
     }
 
-    /// End row (exclusive) of run `i`.
-    fn run_end(&self, i: usize) -> usize {
-        self.runs
-            .get(i + 1)
-            .map(|r| r.start as usize)
-            .unwrap_or(self.len())
-    }
-
-    /// Contiguous row range holding `day` (index path; empty when absent).
-    fn day_span(&self, day: SimDate) -> Range<usize> {
-        let lo_run = self.runs.partition_point(|r| r.day < day);
-        let hi_run = self.runs.partition_point(|r| r.day <= day);
+    /// Row indices observed on `day`: a binary-searched range of the run
+    /// index.
+    pub fn day_rows(&self, day: SimDate) -> Range<usize> {
         let at = |run: usize| {
             self.runs
                 .get(run)
                 .map(|r| r.start as usize)
                 .unwrap_or(self.len())
         };
-        at(lo_run)..at(hi_run)
-    }
-
-    /// Row indices observed on `day` — a binary-searched range when the
-    /// store is ordered, a filtered scan otherwise.
-    pub fn day_rows(&self, day: SimDate) -> impl Iterator<Item = usize> + '_ {
-        let span = if self.ordered {
-            self.day_span(day)
-        } else {
-            0..self.len()
-        };
-        let days = &self.day;
-        span.filter(move |&i| days[i] == day)
-    }
-
-    /// Row indices of `vertical` — the per-day run ranges when the store
-    /// is ordered, a filtered scan otherwise.
-    pub fn vertical_rows(&self, vertical: u16) -> impl Iterator<Item = usize> + '_ {
-        let spans: Vec<Range<usize>> = if self.ordered {
-            (0..self.runs.len())
-                .filter(|&i| self.runs[i].vertical == vertical)
-                .map(|i| self.runs[i].start as usize..self.run_end(i))
-                .collect()
-        } else {
-            std::iter::once(0..self.len()).collect()
-        };
-        let verts = &self.vertical;
-        spans
-            .into_iter()
-            .flatten()
-            .filter(move |&i| verts[i] == vertical)
+        at(self.runs.partition_point(|r| r.day < day))
+            ..at(self.runs.partition_point(|r| r.day <= day))
     }
 
     /// Splits the rows into at most `max_shards` contiguous chunks that
     /// never split a day, for parallel scans whose per-day accumulators
     /// must each be filled by exactly one worker. Deterministic for a
-    /// given `(rows, max_shards)`; a single full-range chunk when the
-    /// store is unordered or `max_shards <= 1`.
+    /// given `(rows, max_shards)`; a single full-range chunk when
+    /// `max_shards <= 1`.
     pub fn day_shards(&self, max_shards: usize) -> Vec<Range<usize>> {
         let len = self.len();
         if len == 0 {
             return Vec::new();
         }
-        if max_shards <= 1 || !self.ordered {
+        if max_shards <= 1 {
             return std::iter::once(0..len).collect();
         }
         let mut day_starts: Vec<usize> = Vec::new();
@@ -296,9 +245,8 @@ impl Snapshot for PsrStore {
     const VERSION: u16 = 1;
 
     /// Rows in append order. Decode replays them through [`PsrStore::push`],
-    /// which rebuilds the `(day, vertical)` run index — including the
-    /// dropped-index state of a store that ever saw an out-of-order append —
-    /// rather than trusting serialized derived state.
+    /// which rebuilds the `(day, vertical)` run index rather than trusting
+    /// serialized derived state; a row out of that order is corrupt input.
     fn write_body(&self, w: &mut Writer) {
         w.put_len(self.len());
         for i in 0..self.len() {
@@ -315,7 +263,7 @@ impl Snapshot for PsrStore {
 
     fn read_body(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let mut store = PsrStore::default();
-        for _ in 0..r.get_len()? {
+        for row in 0..r.get_len()? {
             let day = r.get_date()?;
             let vertical = r.get_u16()?;
             let term = r.get_u32()?;
@@ -324,7 +272,7 @@ impl Snapshot for PsrStore {
             let is_root = r.get_bool()?;
             let labeled = r.get_bool()?;
             let landing = r.get_u32()?;
-            store.push(PsrRecord {
+            let rec = PsrRecord {
                 day,
                 vertical,
                 term,
@@ -333,7 +281,13 @@ impl Snapshot for PsrStore {
                 is_root,
                 labeled,
                 landing: (landing != NO_LANDING).then_some(landing),
-            });
+            };
+            if !store.in_order(&rec) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "PSR row {row} (day {day}, vertical {vertical}) is out of (day, vertical) order"
+                )));
+            }
+            store.push(rec);
         }
         Ok(store)
     }
@@ -538,14 +492,6 @@ impl CrawlDb {
             .map(|id| self.domains.resolve(id).to_owned())
             .collect()
     }
-
-    /// All PSRs for a vertical, through the store's range index.
-    pub fn psrs_of_vertical(&self, vertical: u16) -> impl Iterator<Item = PsrRecord> + '_ {
-        let cols = self.psrs.columns();
-        self.psrs
-            .vertical_rows(vertical)
-            .map(move |i| cols.record(i))
-    }
 }
 
 fn put_cloak_signal(w: &mut Writer, c: &CloakSignal) {
@@ -712,6 +658,8 @@ impl Snapshot for CrawlDb {
 
 #[cfg(test)]
 mod tests {
+    use ss_types::snapshot::encode_framed;
+
     use super::*;
 
     #[test]
@@ -791,29 +739,35 @@ mod tests {
             let slow: Vec<usize> = (0..s.len()).filter(|&i| s.get(i).day == d).collect();
             assert_eq!(fast, slow, "day {day}");
         }
-        for vertical in 0..4u16 {
-            let fast: Vec<usize> = s.vertical_rows(vertical).collect();
-            let slow: Vec<usize> = (0..s.len())
-                .filter(|&i| s.get(i).vertical == vertical)
-                .collect();
-            assert_eq!(fast, slow, "vertical {vertical}");
-        }
     }
 
     #[test]
-    fn out_of_order_appends_fall_back_to_scans() {
+    #[should_panic(expected = "PSR rows append in (day, vertical) order")]
+    fn out_of_order_append_panics() {
         let mut s = ordered_store();
-        let expected_eq = s.clone();
         s.push(rec(140, 0, 999, 3, None)); // day earlier than the tail
-        let d = SimDate::from_day_index(140);
-        let got: Vec<usize> = s.day_rows(d).collect();
-        let want: Vec<usize> = (0..s.len()).filter(|&i| s.get(i).day == d).collect();
-        assert_eq!(got, want);
-        let v0: Vec<usize> = (0..s.len()).filter(|&i| s.get(i).vertical == 0).collect();
-        assert_eq!(s.vertical_rows(0).collect::<Vec<_>>(), v0);
-        assert_eq!(s.day_shards(4), vec![0..s.len()]);
-        // Equality is row content, not index state.
-        assert_ne!(s, expected_eq);
+    }
+
+    #[test]
+    fn out_of_order_frames_are_corrupt() {
+        let frame = encode_framed(PsrStore::TAG, PsrStore::VERSION, |w| {
+            w.put_len(2);
+            for day in [141, 140] {
+                let r = rec(day, 0, 7, 1, None);
+                w.put_date(r.day);
+                w.put_u16(r.vertical);
+                w.put_u32(r.term);
+                w.put_u8(r.rank);
+                w.put_u32(r.domain);
+                w.put_bool(r.is_root);
+                w.put_bool(r.labeled);
+                w.put_u32(NO_LANDING);
+            }
+        });
+        match PsrStore::decode(&frame) {
+            Err(SnapshotError::Corrupt(why)) => assert!(why.contains("PSR row 1"), "{why}"),
+            other => panic!("expected a corrupt-frame error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -851,15 +805,6 @@ mod tests {
             );
         }
         assert_eq!(restored.day_shards(4), s.day_shards(4));
-
-        // An unordered store round-trips too, and the replayed pushes
-        // re-derive the dropped-index state.
-        let mut unordered = ordered_store();
-        unordered.push(rec(140, 0, 999, 3, None));
-        let restored = PsrStore::decode(&unordered.encode()).unwrap();
-        assert_eq!(restored, unordered);
-        assert!(!restored.ordered);
-        assert_eq!(restored.day_shards(4), vec![0..unordered.len()]);
     }
 
     #[test]

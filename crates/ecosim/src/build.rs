@@ -17,14 +17,13 @@ use ss_types::{
 };
 use ss_web::cloak::CloakMode;
 use ss_web::pagegen::legit::LegitTheme;
-use ss_web::pagegen::storefront::StoreTemplate;
 use ss_web::pagegen::words;
 
-use crate::campaign::{ActivityWindow, CampaignState, DoorwayState};
+use crate::campaign::ActivityWindow;
 use crate::domains::{self, SiteKind};
 use crate::legal::FirmState;
 use crate::scenario::ScenarioConfig;
-use crate::store::StoreState;
+use crate::tables::{NewCampaign, NewDoorway, NewStore};
 use crate::world::{VerticalState, World};
 
 /// Multiple of the monitored term count that exists as a queryable term
@@ -45,6 +44,7 @@ pub fn build_world(cfg: ScenarioConfig) -> ss_types::Result<World> {
     build_supplier(&mut w);
     build_campaigns(&mut w);
     build_shadow_campaigns(&mut w);
+    w.index_entities();
     record_campaign_windows(&mut w);
     plan_penalties(&mut w);
 
@@ -349,32 +349,25 @@ fn create_store(
             .replace('-', " ");
         format!("{} {}", stem, locale)
     };
-    // Built as the nested form (keeping the seeded draw order stable since
-    // the pre-table layout), then destructured into columns by `push`.
-    w.stores.push(StoreState {
-        id,
+    // Fields evaluate in source order, and this order is the seeded draw
+    // order: keep `order_counter`, `merchant_id`, `awstats_public` as they are.
+    w.stores.push(NewStore {
         campaign,
         name,
         brands: brands.to_vec(),
         locale: locale.to_owned(),
-        current_domain: first,
-        domain_history: vec![(created, first)],
+        domain: first,
         backup_pool: backups,
         order_counter: rng.gen_range(2_000..40_000),
-        orders_accrued: 0,
         merchant_id: format!("m-{}", words::token(rng, 8)),
         awstats_public: rng.gen::<f64>() < 0.085,
         created,
-        months: Vec::new(),
         seed: derive_seed(w.cfg.seed, &format!("store/{campaign_name}/{}", id.0)),
-        retired: false,
-    });
-    id
+    })
 }
 
 /// Creates the doorway fleet for a campaign across its verticals/windows.
-fn create_doorways(w: &mut World, ci: usize, n_doorways: usize, rng: &mut SimRng) {
-    let campaign = CampaignId::from_index(ci);
+fn create_doorways(w: &mut World, campaign: CampaignId, n_doorways: usize, rng: &mut SimRng) {
     let row = w.campaigns.row(campaign);
     let verticals = row.verticals.to_vec();
     let windows = row.windows.to_vec();
@@ -446,19 +439,17 @@ fn create_doorways(w: &mut World, ci: usize, n_doorways: usize, rng: &mut SimRng
             w.engine
                 .index_page(t, url, domain, quality, relevance, live_from);
         }
-        let did = w.campaigns.push_doorway(
+        w.campaigns.push_doorway(
             campaign,
-            DoorwayState {
+            NewDoorway {
                 domain,
                 terms,
                 vertical,
                 target_store: store,
                 live_from,
                 live_until,
-                penalized: None,
             },
         );
-        w.route.set(domain, did);
     }
 }
 
@@ -472,8 +463,6 @@ fn build_campaigns(w: &mut World) {
         .collect();
 
     for spec in &specs {
-        let ci = w.campaigns.len();
-        let id = CampaignId::from_index(ci);
         let mut rng = sub_rng(w.cfg.seed, &format!("campaign/{}", spec.name));
         let verticals = assign_verticals(w, spec, &mut capacity, &mut rng);
 
@@ -563,20 +552,15 @@ fn build_campaigns(w: &mut World) {
             _ => {}
         }
 
-        w.campaigns.push(CampaignState {
-            id,
+        let id = w.campaigns.push(NewCampaign {
             name: spec.name.to_owned(),
             classified: true,
             verticals: verticals.clone(),
-            doorways: Vec::new(),
-            stores: Vec::new(),
             cloak,
             windows,
             reaction_days,
             supplier_partner,
         });
-        w.templates
-            .push(StoreTemplate::for_campaign(spec.name, w.cfg.seed));
 
         // Stores: creation staggered across the study so store lifetimes
         // (first sighting → seizure) are not artificially compressed; real
@@ -688,7 +672,7 @@ fn build_campaigns(w: &mut World) {
 
         // Doorways last (they need stores to target).
         let n_doorways = scaled(spec.doorways, scale);
-        create_doorways(w, ci, n_doorways, &mut rng);
+        create_doorways(w, id, n_doorways, &mut rng);
     }
 }
 
@@ -697,8 +681,6 @@ fn build_shadow_campaigns(w: &mut World) {
     let mut capacity: Vec<i32> = w.verticals.iter().map(|_| 10_000).collect();
     for k in 0..n {
         let name = format!("SHADOW.{k:03}");
-        let ci = w.campaigns.len();
-        let id = CampaignId::from_index(ci);
         let mut rng = sub_rng(w.cfg.seed, &format!("shadow/{k}"));
         let spec = CampaignSpec {
             name: "shadow",
@@ -717,20 +699,15 @@ fn build_shadow_campaigns(w: &mut World) {
             5..=7 => CloakMode::Redirect,
             _ => CloakMode::JsRedirect,
         };
-        w.campaigns.push(CampaignState {
-            id,
+        let id = w.campaigns.push(NewCampaign {
             name: name.clone(),
             classified: false,
             verticals: verticals.clone(),
-            doorways: Vec::new(),
-            stores: Vec::new(),
             cloak,
             windows,
             reaction_days: rng.gen_range(3..30),
             supplier_partner: false,
         });
-        w.templates
-            .push(StoreTemplate::for_campaign(&name, w.cfg.seed));
 
         let n_stores = scaled(spec.stores, w.cfg.scale.entity_scale);
         for s in 0..n_stores {
@@ -741,7 +718,7 @@ fn build_shadow_campaigns(w: &mut World) {
             w.campaigns.add_store(id, sid);
         }
         let n_doorways = scaled(spec.doorways, w.cfg.scale.entity_scale);
-        create_doorways(w, ci, n_doorways, &mut rng);
+        create_doorways(w, id, n_doorways, &mut rng);
     }
 }
 

@@ -1,33 +1,9 @@
-//! SEO-campaign agents: doorway fleets, activity schedules, agility.
+//! SEO-campaign activity schedules, and tests pinning how a campaign's
+//! juice follows them, when its doorways are live and which doorways a
+//! re-point moves. The campaign and doorway rows live in
+//! [`crate::tables::CampaignTable`].
 
-use ss_types::{CampaignId, DomainId, SimDate, StoreId, TermId, VerticalId};
-use ss_web::cloak::CloakMode;
-
-/// One doorway operated by a campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DoorwayState {
-    /// The doorway's domain.
-    pub domain: DomainId,
-    /// Terms it targets (each indexed as a separate page).
-    pub terms: Vec<TermId>,
-    /// Vertical the terms belong to.
-    pub vertical: VerticalId,
-    /// The store it funnels to (updated on rotation).
-    pub target_store: StoreId,
-    /// Day it was compromised / registered and SEO started.
-    pub live_from: SimDate,
-    /// Day it stops redirecting (cohort retirement), exclusive.
-    pub live_until: SimDate,
-    /// Whether the search engine has penalized it, and when.
-    pub penalized: Option<SimDate>,
-}
-
-impl DoorwayState {
-    /// Whether the doorway actively serves the campaign on `day`.
-    pub fn is_live(&self, day: SimDate) -> bool {
-        self.live_from <= day && day < self.live_until
-    }
-}
+use ss_types::SimDate;
 
 /// An SEO activity window with an intensity level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,108 +25,24 @@ impl ActivityWindow {
     }
 }
 
-/// A campaign agent.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignState {
-    /// Id (index into the world's campaign table).
-    pub id: CampaignId,
-    /// Table 2 name, or `SHADOW.n` for the unclassified tail.
-    pub name: String,
-    /// Whether the campaign is in the 52-campaign classified universe
-    /// (false for the shadow tail the labeled set never covers).
-    pub classified: bool,
-    /// Verticals targeted.
-    pub verticals: Vec<VerticalId>,
-    /// Doorway fleet (all cohorts, live and retired).
-    pub doorways: Vec<DoorwayState>,
-    /// Store fleet.
-    pub stores: Vec<StoreId>,
-    /// Cloaking mechanism used by this campaign's kit.
-    pub cloak: CloakMode,
-    /// Activity schedule (non-overlapping, ordered).
-    pub windows: Vec<ActivityWindow>,
-    /// Days the campaign takes to re-point doorways after a store seizure
-    /// (§5.3.2: 7 days for GBC-seized stores, 15 for SMGPA on average).
-    pub reaction_days: u32,
-    /// Whether the campaign partners with the tracked supplier (§4.5:
-    /// MSVALIDATE does).
-    pub supplier_partner: bool,
-}
-
-impl CampaignState {
-    /// Juice level on `day` (0 outside all windows). Overlapping windows
-    /// combine by maximum, so a peak window can sit on top of a longer
-    /// background window.
-    pub fn juice_on(&self, day: SimDate) -> f64 {
-        self.windows
-            .iter()
-            .filter(|w| w.contains(day))
-            .map(|w| w.juice)
-            .fold(0.0, f64::max)
-    }
-
-    /// Whether the campaign is actively SEOing on `day`.
-    pub fn is_active(&self, day: SimDate) -> bool {
-        self.juice_on(day) > 0.0
-    }
-
-    /// Doorways currently funneling to `store`.
-    pub fn doorways_to(&self, store: StoreId) -> impl Iterator<Item = &DoorwayState> {
-        self.doorways
-            .iter()
-            .filter(move |d| d.target_store == store)
-    }
-
-    /// Re-points every doorway currently targeting `from` to `to` (the
-    /// §5.3.2 counter-move: "SEO campaigns can easily modify their doorways
-    /// to redirect users to their backups").
-    pub fn repoint_doorways(&mut self, from: StoreId, to: StoreId) -> usize {
-        let mut n = 0;
-        for d in &mut self.doorways {
-            if d.target_store == from {
-                d.target_store = to;
-                n += 1;
-            }
-        }
-        n
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use ss_types::{CampaignId, DomainId, StoreId, TermId, VerticalId};
+    use ss_web::cloak::CloakMode;
+
     use super::*;
+    use crate::tables::{CampaignTable, NewCampaign, NewDoorway};
 
     fn day(n: u32) -> SimDate {
         SimDate::from_day_index(n)
     }
 
-    fn campaign() -> CampaignState {
-        CampaignState {
-            id: CampaignId(0),
+    fn campaign() -> CampaignTable {
+        let mut t = CampaignTable::default();
+        let id = t.push(NewCampaign {
             name: "KEY".into(),
             classified: true,
             verticals: vec![VerticalId(0)],
-            doorways: vec![
-                DoorwayState {
-                    domain: DomainId(1),
-                    terms: vec![TermId(0)],
-                    vertical: VerticalId(0),
-                    target_store: StoreId(0),
-                    live_from: day(100),
-                    live_until: day(300),
-                    penalized: None,
-                },
-                DoorwayState {
-                    domain: DomainId(2),
-                    terms: vec![TermId(1)],
-                    vertical: VerticalId(0),
-                    target_store: StoreId(1),
-                    live_from: day(100),
-                    live_until: day(300),
-                    penalized: None,
-                },
-            ],
-            stores: vec![StoreId(0), StoreId(1)],
             cloak: CloakMode::Redirect,
             windows: vec![
                 ActivityWindow {
@@ -166,12 +58,26 @@ mod tests {
             ],
             reaction_days: 7,
             supplier_partner: false,
+        });
+        t.push_doorway(id, doorway(1, 0));
+        t
+    }
+
+    fn doorway(domain: u32, store: u32) -> NewDoorway {
+        NewDoorway {
+            domain: DomainId(domain),
+            terms: vec![TermId(0)],
+            vertical: VerticalId(0),
+            target_store: StoreId(store),
+            live_from: day(100),
+            live_until: day(300),
         }
     }
 
     #[test]
     fn juice_follows_windows() {
-        let c = campaign();
+        let t = campaign();
+        let c = t.row(CampaignId(0));
         assert_eq!(c.juice_on(day(130)), 0.0);
         assert_eq!(c.juice_on(day(140)), 0.6);
         assert_eq!(c.juice_on(day(180)), 0.0);
@@ -182,20 +88,38 @@ mod tests {
 
     #[test]
     fn doorway_liveness_is_half_open() {
-        let c = campaign();
-        assert!(!c.doorways[0].is_live(day(99)));
-        assert!(c.doorways[0].is_live(day(100)));
-        assert!(c.doorways[0].is_live(day(299)));
-        assert!(!c.doorways[0].is_live(day(300)));
+        let t = campaign();
+        let d = t.row(CampaignId(0)).doorways.at(0);
+        assert!(!d.is_live(day(99)));
+        assert!(d.is_live(day(100)));
+        assert!(d.is_live(day(299)));
+        assert!(!d.is_live(day(300)));
     }
 
     #[test]
     fn repoint_moves_only_matching_doorways() {
-        let mut c = campaign();
-        let moved = c.repoint_doorways(StoreId(0), StoreId(5));
+        let mut t = campaign();
+        let own = CampaignId(0);
+        t.push_doorway(own, doorway(2, 1));
+        // A second campaign funnelling to the same store is not re-pointed.
+        let other = t.push(NewCampaign {
+            name: "OTHER".into(),
+            classified: false,
+            verticals: vec![VerticalId(0)],
+            cloak: CloakMode::Redirect,
+            windows: Vec::new(),
+            reaction_days: 15,
+            supplier_partner: false,
+        });
+        t.push_doorway(other, doorway(3, 0));
+
+        let moved = t.repoint_doorways(own, StoreId(0), StoreId(5));
         assert_eq!(moved, 1);
-        assert_eq!(c.doorways[0].target_store, StoreId(5));
-        assert_eq!(c.doorways[1].target_store, StoreId(1));
-        assert_eq!(c.doorways_to(StoreId(5)).count(), 1);
+        let fleet = t.row(own).doorways;
+        assert_eq!(fleet.at(0).target_store, StoreId(5));
+        assert_eq!(fleet.at(1).target_store, StoreId(1));
+        assert_eq!(t.row(other).doorways.at(0).target_store, StoreId(0));
+        let to_new = t.iter().flat_map(|c| c.doorways.iter());
+        assert_eq!(to_new.filter(|d| d.target_store == StoreId(5)).count(), 1);
     }
 }

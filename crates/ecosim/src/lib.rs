@@ -8,10 +8,11 @@
 //! * **52 classified SEO campaigns** (plus a long tail of "shadow"
 //!   campaigns the labeled set never covers), each operating doorway fleets,
 //!   storefront fleets with backup-domain pools, cloaking configurations,
-//!   and bursty SEO activity windows ([`campaign`]);
+//!   and bursty SEO activity windows ([`tables::CampaignTable`], windows in
+//!   [`campaign`]);
 //! * **storefronts** with monotone order counters, localized variants,
 //!   AWStats logs, merchant accounts and domain-rotation agility
-//!   ([`store`]);
+//!   ([`tables::StoreTable`], monthly logs in [`store`]);
 //! * **users** who query, click by rank, browse, and occasionally buy
 //!   ([`traffic`]);
 //! * **the search engine's anti-abuse pipeline** (delayed detection →

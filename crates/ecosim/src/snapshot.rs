@@ -3,12 +3,13 @@
 //! Everything `World::tick` reads or writes is captured here: the scenario
 //! config, the domain table, the ground-truth event log, and the full
 //! [`World`] itself (which nests the engine, supplier, metrics registry,
-//! flight recorder, and event trail). Decoding rebuilds the world through
-//! the same choke points construction uses — `new_shell` plus the entity
-//! tables' `push` paths — so derived structures (the domain→doorway route,
-//! per-campaign store templates, interner ids, the suggest service) are
-//! re-derived rather than serialized, and cannot drift from the columns
-//! they index.
+//! flight recorder, and event trail). The entity tables carry their own
+//! row codecs (`write_rows`/`read_rows` in [`crate::tables`]), which decode
+//! straight into the columns. Decoding then rebuilds the rest the way
+//! construction does — `new_shell`, then `World::index_entities` — so
+//! derived structures (the domain→doorway route, per-campaign store
+//! templates, interner ids, the suggest service) are re-derived rather
+//! than serialized, and cannot drift from the columns they index.
 //!
 //! Not captured, by design: `tick_threads` (a runtime knob the resume
 //! caller chooses; any value commits a bit-identical world) and wall-clock
@@ -23,20 +24,18 @@ use ss_types::{
 };
 use ss_web::cloak::CloakMode;
 use ss_web::pagegen::legit::LegitTheme;
-use ss_web::pagegen::storefront::StoreTemplate;
 
-use crate::campaign::{ActivityWindow, CampaignState, DoorwayState};
 use crate::domains::{DomainTable, Seizure, SiteKind};
 use crate::events::{Event, EventLog};
 use crate::legal::{CourtCase, FirmState};
 use crate::plan::{TickStage, TrailEvent, WorldEvent};
 use crate::scenario::{PaymentPolicy, Scale, ScenarioConfig, SearchPolicy, SeizurePolicy};
-use crate::store::{MonthStats, StoreState};
+use crate::tables::{CampaignTable, StoreTable};
 use crate::world::{VerticalState, World};
 
 // ---- leaf helpers ----
 
-fn put_cloak(w: &mut Writer, c: &CloakMode) {
+pub(crate) fn put_cloak(w: &mut Writer, c: &CloakMode) {
     match c {
         CloakMode::Redirect => w.put_u8(0),
         CloakMode::JsRedirect => w.put_u8(1),
@@ -47,7 +46,7 @@ fn put_cloak(w: &mut Writer, c: &CloakMode) {
     }
 }
 
-fn get_cloak(r: &mut Reader<'_>) -> Result<CloakMode, SnapshotError> {
+pub(crate) fn get_cloak(r: &mut Reader<'_>) -> Result<CloakMode, SnapshotError> {
     Ok(match r.get_u8()? {
         0 => CloakMode::Redirect,
         1 => CloakMode::JsRedirect,
@@ -507,135 +506,6 @@ impl Snapshot for EventLog {
 
 // ---- world sub-structure helpers ----
 
-fn put_doorway(w: &mut Writer, d: &DoorwayState) {
-    w.put_u32(d.domain.0);
-    w.put_seq(&d.terms, |w, t| w.put_u32(t.0));
-    w.put_u32(d.vertical.0);
-    w.put_u32(d.target_store.0);
-    w.put_date(d.live_from);
-    w.put_date(d.live_until);
-    w.put_opt(d.penalized.as_ref(), |w, day| w.put_date(*day));
-}
-
-fn get_doorway(r: &mut Reader<'_>) -> Result<DoorwayState, SnapshotError> {
-    Ok(DoorwayState {
-        domain: DomainId(r.get_u32()?),
-        terms: r.get_seq(|r| Ok(TermId(r.get_u32()?)))?,
-        vertical: VerticalId(r.get_u32()?),
-        target_store: StoreId(r.get_u32()?),
-        live_from: r.get_date()?,
-        live_until: r.get_date()?,
-        penalized: r.get_opt(|r| r.get_date())?,
-    })
-}
-
-fn put_campaign(w: &mut Writer, c: &CampaignState) {
-    w.put_str(&c.name);
-    w.put_bool(c.classified);
-    w.put_seq(&c.verticals, |w, v| w.put_u32(v.0));
-    w.put_seq(&c.doorways, put_doorway);
-    w.put_seq(&c.stores, |w, s| w.put_u32(s.0));
-    put_cloak(w, &c.cloak);
-    w.put_seq(&c.windows, |w, win| {
-        w.put_date(win.from);
-        w.put_date(win.to);
-        w.put_f64(win.juice);
-    });
-    w.put_u32(c.reaction_days);
-    w.put_bool(c.supplier_partner);
-}
-
-fn get_campaign(r: &mut Reader<'_>, id: CampaignId) -> Result<CampaignState, SnapshotError> {
-    Ok(CampaignState {
-        id,
-        name: r.get_str()?,
-        classified: r.get_bool()?,
-        verticals: r.get_seq(|r| Ok(VerticalId(r.get_u32()?)))?,
-        doorways: r.get_seq(get_doorway)?,
-        stores: r.get_seq(|r| Ok(StoreId(r.get_u32()?)))?,
-        cloak: get_cloak(r)?,
-        windows: r.get_seq(|r| {
-            Ok(ActivityWindow {
-                from: r.get_date()?,
-                to: r.get_date()?,
-                juice: r.get_f64()?,
-            })
-        })?,
-        reaction_days: r.get_u32()?,
-        supplier_partner: r.get_bool()?,
-    })
-}
-
-fn put_month(w: &mut Writer, m: &MonthStats) {
-    w.put_i64(i64::from(m.year_month.0));
-    w.put_u32(m.year_month.1);
-    w.put_u64(m.visits);
-    w.put_u64(m.pages);
-    w.put_seq(&m.referrers, |w, (host, n)| {
-        w.put_str(host);
-        w.put_u64(*n);
-    });
-    w.put_u64(m.direct_visits);
-    w.put_seq(&m.daily, |w, (day, visits, pages)| {
-        w.put_date(*day);
-        w.put_u64(*visits);
-        w.put_u64(*pages);
-    });
-}
-
-fn get_month(r: &mut Reader<'_>) -> Result<MonthStats, SnapshotError> {
-    Ok(MonthStats {
-        year_month: (r.get_i64()? as i32, r.get_u32()?),
-        visits: r.get_u64()?,
-        pages: r.get_u64()?,
-        referrers: r.get_seq(|r| Ok((r.get_str()?, r.get_u64()?)))?,
-        direct_visits: r.get_u64()?,
-        daily: r.get_seq(|r| Ok((r.get_date()?, r.get_u64()?, r.get_u64()?)))?,
-    })
-}
-
-fn put_store(w: &mut Writer, s: &StoreState) {
-    w.put_u32(s.campaign.0);
-    w.put_str(&s.name);
-    w.put_seq(&s.brands, |w, b| w.put_u32(b.0));
-    w.put_str(&s.locale);
-    w.put_u32(s.current_domain.0);
-    w.put_seq(&s.domain_history, |w, (day, dom)| {
-        w.put_date(*day);
-        w.put_u32(dom.0);
-    });
-    w.put_seq(&s.backup_pool, |w, d| w.put_u32(d.0));
-    w.put_u64(s.order_counter);
-    w.put_u64(s.orders_accrued);
-    w.put_str(&s.merchant_id);
-    w.put_bool(s.awstats_public);
-    w.put_date(s.created);
-    w.put_seq(&s.months, put_month);
-    w.put_u64(s.seed);
-    w.put_bool(s.retired);
-}
-
-fn get_store(r: &mut Reader<'_>, id: StoreId) -> Result<StoreState, SnapshotError> {
-    Ok(StoreState {
-        id,
-        campaign: CampaignId(r.get_u32()?),
-        name: r.get_str()?,
-        brands: r.get_seq(|r| Ok(BrandId(r.get_u32()?)))?,
-        locale: r.get_str()?,
-        current_domain: DomainId(r.get_u32()?),
-        domain_history: r.get_seq(|r| Ok((r.get_date()?, DomainId(r.get_u32()?))))?,
-        backup_pool: r.get_seq(|r| Ok(DomainId(r.get_u32()?)))?,
-        order_counter: r.get_u64()?,
-        orders_accrued: r.get_u64()?,
-        merchant_id: r.get_str()?,
-        awstats_public: r.get_bool()?,
-        created: r.get_date()?,
-        months: r.get_seq(get_month)?,
-        seed: r.get_u64()?,
-        retired: r.get_bool()?,
-    })
-}
-
 fn put_firm(w: &mut Writer, f: &FirmState) {
     w.put_str(&f.name);
     w.put_seq(&f.brands, |w, b| w.put_u32(b.0));
@@ -727,14 +597,8 @@ impl Snapshot for World {
             w.put_f64(v.elite_prob);
         });
         w.put_seq(&self.brand_names, |w, b| w.put_str(b));
-        w.put_len(self.campaigns.len());
-        for ci in 0..self.campaigns.len() {
-            put_campaign(w, &self.campaigns.materialize(CampaignId::from_index(ci)));
-        }
-        w.put_len(self.stores.len());
-        for si in 0..self.stores.len() {
-            put_store(w, &self.stores.materialize(StoreId::from_index(si)));
-        }
+        self.campaigns.write_rows(w);
+        self.stores.write_rows(w);
         w.put_seq(&self.firms, put_firm);
         w.put_nested(&self.supplier);
         w.put_u32(self.supplier_domain.0);
@@ -759,7 +623,6 @@ impl Snapshot for World {
     fn read_body(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let cfg: ScenarioConfig = r.get_nested()?;
         let engine = r.get_nested()?;
-        let seed = cfg.seed;
         let mut world = World::new_shell(cfg, engine);
         world.day = r.get_date()?;
         world.domains = r.get_nested()?;
@@ -787,28 +650,9 @@ impl Snapshot for World {
             out
         };
 
-        // Campaigns re-enter through the same `push`/`push_doorway` paths
-        // construction uses, which re-derives the doorway route and the
-        // per-campaign store templates as side products of row order.
-        for ci in 0..r.get_len()? {
-            let id = CampaignId::from_index(ci);
-            let mut c = get_campaign(r, id)?;
-            let doorways = std::mem::take(&mut c.doorways);
-            let name = c.name.clone();
-            world.campaigns.push(c);
-            for d in doorways {
-                let domain = d.domain;
-                let row = world.campaigns.push_doorway(id, d);
-                world.route.set(domain, row);
-            }
-            world
-                .templates
-                .push(StoreTemplate::for_campaign(&name, seed));
-        }
-        for si in 0..r.get_len()? {
-            let s = get_store(r, StoreId::from_index(si))?;
-            world.stores.push(s);
-        }
+        world.campaigns = CampaignTable::read_rows(r)?;
+        world.stores = StoreTable::read_rows(r)?;
+        world.index_entities();
 
         let n_firms = r.get_len()?;
         world.firms = Vec::with_capacity(n_firms.min(1 << 10));

@@ -1,7 +1,10 @@
-//! Storefront state: order counters, domain histories, AWStats logs.
+//! Storefront semantics: the monthly AWStats bucket, and tests pinning
+//! what the paper's techniques rely on a store doing — monotone order
+//! numbers (§4.3.1), domain rotation through a backup pool (§5.2.3) and
+//! per-month traffic logs (§4.4). The store rows and their mutators live
+//! in [`crate::tables::StoreTable`].
 
-use ss_types::{BrandId, CampaignId, DomainId, SimDate, StoreId};
-use ss_web::pagegen::storefront::StoreTemplate;
+use ss_types::SimDate;
 
 /// Monthly AWStats bucket for one store (what its public report exposes).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -30,179 +33,82 @@ impl MonthStats {
     }
 }
 
-/// A logical counterfeit store. The *store* is the durable entity; its
-/// domain changes under rotation (§5.2.3's coco*.com storefront used three
-/// domains in three months).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreState {
-    /// Id.
-    pub id: StoreId,
-    /// Operating campaign.
-    pub campaign: CampaignId,
-    /// Display name.
-    pub name: String,
-    /// Brands on sale.
-    pub brands: Vec<BrandId>,
-    /// Locale ("us", "uk", …) — campaigns run localized variants (§3.1.2).
-    pub locale: String,
-    /// Current serving domain.
-    pub current_domain: DomainId,
-    /// Full domain history `(first_day, domain)`, current last.
-    pub domain_history: Vec<(SimDate, DomainId)>,
-    /// Backup domains not yet used (pre-registered against seizures).
-    pub backup_pool: Vec<DomainId>,
-    /// Monotone order counter (order numbers allocated so far).
-    pub order_counter: u64,
-    /// Orders accrued during the simulation (excludes the random counter
-    /// base the store started with) — the ground-truth volume metric.
-    pub orders_accrued: u64,
-    /// Merchant id with the payment processor.
-    pub merchant_id: String,
-    /// Whether the AWStats report is publicly reachable (§4.4: 647 of
-    /// thousands of stores leaked theirs).
-    pub awstats_public: bool,
-    /// Day the store went live.
-    pub created: SimDate,
-    /// Monthly traffic stats, newest last.
-    pub months: Vec<MonthStats>,
-    /// Per-store render seed.
-    pub seed: u64,
-    /// Whether the campaign has stopped operating this store.
-    pub retired: bool,
-}
-
-impl StoreState {
-    /// Allocates the next order number (monotonically increasing — the
-    /// invariant the purchase-pair technique (§4.3.1) rests on).
-    pub fn allocate_order(&mut self) -> u64 {
-        self.order_counter += 1;
-        self.orders_accrued += 1;
-        self.order_counter
-    }
-
-    /// Bulk-advances the counter by `n` customer orders.
-    pub fn add_orders(&mut self, n: u64) {
-        self.order_counter += n;
-        self.orders_accrued += n;
-    }
-
-    /// Records a day of traffic into the right monthly bucket.
-    pub fn record_traffic(
-        &mut self,
-        day: SimDate,
-        visits: u64,
-        pages: u64,
-        referred: &[(String, u64)],
-        direct: u64,
-    ) {
-        let (y, m, _) = day.ymd();
-        if self.months.last().map(|b| b.year_month) != Some((y, m)) {
-            self.months.push(MonthStats {
-                year_month: (y, m),
-                ..MonthStats::default()
-            });
-        }
-        let bucket = self.months.last_mut().expect("just ensured");
-        bucket.visits += visits;
-        bucket.pages += pages;
-        bucket.direct_visits += direct;
-        for (host, n) in referred {
-            bucket.add_referrer(host, *n);
-        }
-        bucket.daily.push((day, visits, pages));
-    }
-
-    /// Rotates to the next backup domain; returns `(old, new)` if a backup
-    /// was available.
-    pub fn rotate_domain(&mut self, day: SimDate) -> Option<(DomainId, DomainId)> {
-        let next = if self.backup_pool.is_empty() {
-            return None;
-        } else {
-            self.backup_pool.remove(0)
-        };
-        let old = self.current_domain;
-        self.current_domain = next;
-        self.domain_history.push((day, next));
-        Some((old, next))
-    }
-
-    /// The monthly bucket covering `day`, if recorded.
-    pub fn month_for(&self, day: SimDate) -> Option<&MonthStats> {
-        let (y, m, _) = day.ymd();
-        self.months.iter().find(|b| b.year_month == (y, m))
-    }
-
-    /// The campaign template used for rendering (derived, not stored, so
-    /// sibling stores always agree with their campaign).
-    pub fn template(&self, world_seed: u64, campaign_name: &str) -> StoreTemplate {
-        StoreTemplate::for_campaign(campaign_name, world_seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use ss_types::{BrandId, CampaignId, DomainId, StoreId};
 
-    fn store() -> StoreState {
-        StoreState {
-            id: StoreId(0),
+    use super::*;
+    use crate::tables::{NewStore, StoreTable};
+
+    fn store() -> (StoreTable, StoreId) {
+        let mut t = StoreTable::default();
+        let id = t.push(NewStore {
             campaign: CampaignId(0),
             name: "Coco Vip Bags".into(),
             brands: vec![BrandId(0)],
             locale: "us".into(),
-            current_domain: DomainId(10),
-            domain_history: vec![(SimDate::EPOCH, DomainId(10))],
+            domain: DomainId(10),
             backup_pool: vec![DomainId(11), DomainId(12)],
             order_counter: 5_000,
-            orders_accrued: 0,
             merchant_id: "m-1".into(),
             awstats_public: true,
             created: SimDate::EPOCH,
-            months: Vec::new(),
             seed: 9,
-            retired: false,
-        }
+        });
+        (t, id)
     }
 
     #[test]
     fn order_numbers_are_monotone() {
-        let mut s = store();
-        let a = s.allocate_order();
-        s.add_orders(10);
-        let b = s.allocate_order();
+        let (mut t, id) = store();
+        let a = t.allocate_order(id);
+        t.add_orders(id, 10);
+        let b = t.allocate_order(id);
         assert_eq!(a, 5_001);
         assert_eq!(b, 5_012);
         assert!(b > a);
+        assert_eq!(t.row(id).orders_accrued, 12);
     }
 
     #[test]
     fn rotation_walks_the_backup_pool() {
-        let mut s = store();
-        let (old, new) = s.rotate_domain(SimDate::from_day_index(100)).unwrap();
+        let (mut t, id) = store();
+        let (old, new) = t.rotate_domain(id, SimDate::from_day_index(100)).unwrap();
         assert_eq!((old, new), (DomainId(10), DomainId(11)));
-        assert_eq!(s.current_domain, DomainId(11));
-        let (_, new2) = s.rotate_domain(SimDate::from_day_index(150)).unwrap();
+        assert_eq!(t.row(id).current_domain, DomainId(11));
+        let (_, new2) = t.rotate_domain(id, SimDate::from_day_index(150)).unwrap();
         assert_eq!(new2, DomainId(12));
         assert!(
-            s.rotate_domain(SimDate::from_day_index(160)).is_none(),
+            t.rotate_domain(id, SimDate::from_day_index(160)).is_none(),
             "pool exhausted"
         );
-        assert_eq!(s.domain_history.len(), 3);
+        assert_eq!(
+            t.row(id).domain_history,
+            [
+                (SimDate::EPOCH, DomainId(10)),
+                (SimDate::from_day_index(100), DomainId(11)),
+                (SimDate::from_day_index(150), DomainId(12)),
+            ]
+        );
+        assert!(t.row(id).backup_pool.is_empty());
     }
 
     #[test]
     fn traffic_buckets_by_month() {
-        let mut s = store();
+        let (mut t, id) = store();
         let jan = SimDate::from_ymd(2014, 1, 30).unwrap();
         let feb = SimDate::from_ymd(2014, 2, 1).unwrap();
-        s.record_traffic(jan, 100, 560, &[("google.com".into(), 40)], 60);
-        s.record_traffic(jan + 1, 50, 280, &[("google.com".into(), 10)], 40);
-        s.record_traffic(feb, 70, 392, &[("door.com".into(), 30)], 40);
+        t.record_traffic(id, jan, 100, 560, &[("google.com".into(), 40)], 60);
+        t.record_traffic(id, jan + 1, 50, 280, &[("google.com".into(), 10)], 40);
+        t.record_traffic(id, feb, 70, 392, &[("door.com".into(), 30)], 40);
+        let s = t.row(id);
         assert_eq!(s.months.len(), 2);
         let jan_stats = s.month_for(jan).unwrap();
         assert_eq!(jan_stats.visits, 150);
+        assert_eq!(jan_stats.pages, 840);
+        assert_eq!(jan_stats.direct_visits, 100);
         assert_eq!(jan_stats.referrers, vec![("google.com".to_owned(), 50)]);
-        assert_eq!(jan_stats.daily.len(), 2);
+        assert_eq!(jan_stats.daily, vec![(jan, 100, 560), (jan + 1, 50, 280)]);
         assert_eq!(s.month_for(feb).unwrap().visits, 70);
     }
 }

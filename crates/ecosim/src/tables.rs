@@ -1,4 +1,5 @@
-//! Component tables: struct-of-arrays storage for the world's entities.
+//! Component tables: struct-of-arrays storage for the world's entities,
+//! and their only representation.
 //!
 //! The entity plane mirrors what the crawl database does for PSRs with
 //! `PsrStore`: one typed column per field, dense ids as row indices, and
@@ -14,11 +15,13 @@
 //!   needs. A seizure scan reads four columns of a few bytes each instead
 //!   of walking whole nested structs.
 //!
-//! The nested structs ([`StoreState`], [`crate::campaign::CampaignState`],
-//! [`crate::campaign::DoorwayState`]) survive as *builder/materialized*
-//! forms: world generation constructs them (preserving the seeded RNG draw
-//! order exactly), `push` destructures them into columns, and
-//! `materialize` reassembles them for round-trip tests and benchmarks.
+//! Rows enter a table one way. World generation hands `push` a creation
+//! record ([`NewStore`], [`NewCampaign`], [`NewDoorway`]) holding only the
+//! fields fixed at creation; the table assigns the id and starts the state
+//! the tick mutates (domain history, order ledger, traffic log, penalty,
+//! retired flag) itself. Checkpoints bypass the records: `write_rows`
+//! writes each row from its view and `read_rows` decodes the bytes straight
+//! back into the columns (the `world` frame's campaign and store sections).
 //!
 //! Id discipline: `StoreId`, `CampaignId`, `DoorwayId` and `DomainId` are
 //! dense indices into their tables. Doorways live in one global
@@ -28,14 +31,16 @@
 //! and a domain routes to its doorway through [`DomainRoute`], a dense
 //! `Vec` lookup instead of a `HashMap`.
 
+use ss_types::snapshot::{Reader, SnapshotError, Writer};
 use ss_types::{
     BrandId, CampaignId, DomainId, DoorwayId, Interner, LocaleId, SimDate, StoreId, TermId,
     VerticalId,
 };
 use ss_web::cloak::CloakMode;
 
-use crate::campaign::{ActivityWindow, CampaignState, DoorwayState};
-use crate::store::{MonthStats, StoreState};
+use crate::campaign::ActivityWindow;
+use crate::snapshot::{get_cloak, put_cloak};
+use crate::store::MonthStats;
 
 // ---- stores ----
 
@@ -72,7 +77,7 @@ pub struct StoreTable {
 /// Borrowed view of one store row. `Copy`; strings resolve to `&str` at
 /// view construction and are cloned only where a report boundary needs an
 /// owned value.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreRow<'a> {
     /// Id (row index).
     pub id: StoreId,
@@ -84,8 +89,6 @@ pub struct StoreRow<'a> {
     pub brands: &'a [BrandId],
     /// Locale ("us", "uk", …), resolved from the shared intern table.
     pub locale: &'a str,
-    /// Interned locale id.
-    pub locale_id: LocaleId,
     /// Current serving domain.
     pub current_domain: DomainId,
     /// Full domain history `(first_day, domain)`, current last.
@@ -110,12 +113,69 @@ pub struct StoreRow<'a> {
     pub retired: bool,
 }
 
+/// The fields of a store fixed at creation — what world generation hands
+/// [`StoreTable::push`].
+#[derive(Debug, Clone)]
+pub struct NewStore {
+    /// Operating campaign.
+    pub campaign: CampaignId,
+    /// Display name.
+    pub name: String,
+    /// Brands on sale.
+    pub brands: Vec<BrandId>,
+    /// Locale ("us", "uk", …) — campaigns run localized variants (§3.1.2).
+    pub locale: String,
+    /// First serving domain, which opens the domain history.
+    pub domain: DomainId,
+    /// Backup domains pre-registered against seizures.
+    pub backup_pool: Vec<DomainId>,
+    /// Starting value of the monotone order counter.
+    pub order_counter: u64,
+    /// Merchant id with the payment processor.
+    pub merchant_id: String,
+    /// Whether the AWStats report is publicly reachable (§4.4: 647 of
+    /// thousands of stores leaked theirs).
+    pub awstats_public: bool,
+    /// Day the store went live.
+    pub created: SimDate,
+    /// Per-store render seed.
+    pub seed: u64,
+}
+
 impl StoreRow<'_> {
     /// The monthly bucket covering `day`, if recorded.
     pub fn month_for(&self, day: SimDate) -> Option<&MonthStats> {
         let (y, m, _) = day.ymd();
         self.months.iter().find(|b| b.year_month == (y, m))
     }
+}
+
+fn put_month(w: &mut Writer, m: &MonthStats) {
+    w.put_i64(i64::from(m.year_month.0));
+    w.put_u32(m.year_month.1);
+    w.put_u64(m.visits);
+    w.put_u64(m.pages);
+    w.put_seq(&m.referrers, |w, (host, n)| {
+        w.put_str(host);
+        w.put_u64(*n);
+    });
+    w.put_u64(m.direct_visits);
+    w.put_seq(&m.daily, |w, (day, visits, pages)| {
+        w.put_date(*day);
+        w.put_u64(*visits);
+        w.put_u64(*pages);
+    });
+}
+
+fn get_month(r: &mut Reader<'_>) -> Result<MonthStats, SnapshotError> {
+    Ok(MonthStats {
+        year_month: (r.get_i64()? as i32, r.get_u32()?),
+        visits: r.get_u64()?,
+        pages: r.get_u64()?,
+        referrers: r.get_seq(|r| Ok((r.get_str()?, r.get_u64()?)))?,
+        direct_visits: r.get_u64()?,
+        daily: r.get_seq(|r| Ok((r.get_date()?, r.get_u64()?, r.get_u64()?)))?,
+    })
 }
 
 impl StoreTable {
@@ -129,10 +189,11 @@ impl StoreTable {
         self.campaign.is_empty()
     }
 
-    /// Appends a store built as a nested [`StoreState`], destructuring it
-    /// into columns. The state's `id` must equal the next row index.
-    pub fn push(&mut self, s: StoreState) -> StoreId {
-        assert_eq!(s.id.index(), self.len(), "store ids are dense");
+    /// Appends a store and returns its id (the next row index). The store
+    /// starts with a one-entry domain history, an empty order ledger and
+    /// traffic log, and is not retired.
+    pub fn push(&mut self, s: NewStore) -> StoreId {
+        let id = StoreId::from_index(self.len());
         if self.brands_off.is_empty() {
             self.brands_off.push(0);
         }
@@ -141,18 +202,18 @@ impl StoreTable {
         self.brands.extend_from_slice(&s.brands);
         self.brands_off.push(self.brands.len() as u32);
         self.locale.push(LocaleId(self.locales.intern(&s.locale)));
-        self.current_domain.push(s.current_domain);
-        self.domain_history.push(s.domain_history);
+        self.current_domain.push(s.domain);
+        self.domain_history.push(vec![(s.created, s.domain)]);
         self.backup_pool.push(s.backup_pool);
         self.order_counter.push(s.order_counter);
-        self.orders_accrued.push(s.orders_accrued);
+        self.orders_accrued.push(0);
         self.merchant_id.push(s.merchant_id);
         self.awstats_public.push(s.awstats_public);
         self.created.push(s.created);
-        self.months.push(s.months);
+        self.months.push(Vec::new());
         self.seed.push(s.seed);
-        self.retired.push(s.retired);
-        s.id
+        self.retired.push(false);
+        id
     }
 
     /// Borrowed view of row `id`.
@@ -168,7 +229,6 @@ impl StoreTable {
             name: &self.name[i],
             brands: self.brands_of(i),
             locale: self.locales.resolve(self.locale[i].0),
-            locale_id: self.locale[i],
             current_domain: self.current_domain[i],
             domain_history: &self.domain_history[i],
             backup_pool: &self.backup_pool[i],
@@ -188,27 +248,6 @@ impl StoreTable {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// The `retired` column (columnar-scan access: planners and benches
-    /// read whole columns instead of constructing row views per store).
-    pub fn retired_col(&self) -> &[bool] {
-        &self.retired
-    }
-
-    /// The `created` column (columnar-scan access).
-    pub fn created_col(&self) -> &[SimDate] {
-        &self.created
-    }
-
-    /// The `current_domain` column (columnar-scan access).
-    pub fn current_domain_col(&self) -> &[DomainId] {
-        &self.current_domain
-    }
-
-    /// The `order_counter` column (columnar-scan access).
-    pub fn order_counter_col(&self) -> &[u64] {
-        &self.order_counter
-    }
-
     /// Brand portfolio of raw row `i` (columnar-scan access).
     pub(crate) fn brands_of(&self, i: usize) -> &[BrandId] {
         &self.brands[self.brands_off[i] as usize..self.brands_off[i + 1] as usize]
@@ -219,28 +258,62 @@ impl StoreTable {
         &self.locales
     }
 
-    /// Reassembles the nested form of row `id` (round-trip tests, the
-    /// nested-vs-columnar benchmark baseline).
-    pub fn materialize(&self, id: StoreId) -> StoreState {
-        let r = self.row(id);
-        StoreState {
-            id: r.id,
-            campaign: r.campaign,
-            name: r.name.to_owned(),
-            brands: r.brands.to_vec(),
-            locale: r.locale.to_owned(),
-            current_domain: r.current_domain,
-            domain_history: r.domain_history.to_vec(),
-            backup_pool: r.backup_pool.to_vec(),
-            order_counter: r.order_counter,
-            orders_accrued: r.orders_accrued,
-            merchant_id: r.merchant_id.to_owned(),
-            awstats_public: r.awstats_public,
-            created: r.created,
-            months: r.months.to_vec(),
-            seed: r.seed,
-            retired: r.retired,
+    /// Writes every row in id order — the `world` frame's store section.
+    pub(crate) fn write_rows(&self, w: &mut Writer) {
+        w.put_len(self.len());
+        for s in self.iter() {
+            w.put_u32(s.campaign.0);
+            w.put_str(s.name);
+            w.put_seq(s.brands, |w, b| w.put_u32(b.0));
+            w.put_str(s.locale);
+            w.put_u32(s.current_domain.0);
+            w.put_seq(s.domain_history, |w, (day, dom)| {
+                w.put_date(*day);
+                w.put_u32(dom.0);
+            });
+            w.put_seq(s.backup_pool, |w, d| w.put_u32(d.0));
+            w.put_u64(s.order_counter);
+            w.put_u64(s.orders_accrued);
+            w.put_str(s.merchant_id);
+            w.put_bool(s.awstats_public);
+            w.put_date(s.created);
+            w.put_seq(s.months, put_month);
+            w.put_u64(s.seed);
+            w.put_bool(s.retired);
         }
+    }
+
+    /// Decodes rows written by [`StoreTable::write_rows`] straight into
+    /// the columns.
+    pub(crate) fn read_rows(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let mut t = StoreTable {
+            brands_off: vec![0],
+            ..StoreTable::default()
+        };
+        for _ in 0..r.get_len()? {
+            t.campaign.push(CampaignId(r.get_u32()?));
+            t.name.push(r.get_str()?);
+            for _ in 0..r.get_len()? {
+                t.brands.push(BrandId(r.get_u32()?));
+            }
+            t.brands_off.push(t.brands.len() as u32);
+            let locale = r.get_str()?;
+            t.locale.push(LocaleId(t.locales.intern(&locale)));
+            t.current_domain.push(DomainId(r.get_u32()?));
+            t.domain_history
+                .push(r.get_seq(|r| Ok((r.get_date()?, DomainId(r.get_u32()?))))?);
+            t.backup_pool
+                .push(r.get_seq(|r| Ok(DomainId(r.get_u32()?)))?);
+            t.order_counter.push(r.get_u64()?);
+            t.orders_accrued.push(r.get_u64()?);
+            t.merchant_id.push(r.get_str()?);
+            t.awstats_public.push(r.get_bool()?);
+            t.created.push(r.get_date()?);
+            t.months.push(r.get_seq(get_month)?);
+            t.seed.push(r.get_u64()?);
+            t.retired.push(r.get_bool()?);
+        }
+        Ok(t)
     }
 
     // ---- mutators (the apply-plan choke points) ----
@@ -344,7 +417,7 @@ pub struct DoorwayTable {
 }
 
 /// Borrowed view of one doorway row.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DoorwayRow<'a> {
     /// Id (row index in the global doorway table).
     pub id: DoorwayId,
@@ -364,6 +437,24 @@ pub struct DoorwayRow<'a> {
     pub live_until: SimDate,
     /// Whether the search engine has penalized it, and when.
     pub penalized: Option<SimDate>,
+}
+
+/// The fields of a doorway fixed at creation — what world generation hands
+/// [`CampaignTable::push_doorway`]. Doorways start unpenalized.
+#[derive(Debug, Clone)]
+pub struct NewDoorway {
+    /// The doorway's domain.
+    pub domain: DomainId,
+    /// Terms it targets (each indexed as a separate page).
+    pub terms: Vec<TermId>,
+    /// Vertical the terms belong to.
+    pub vertical: VerticalId,
+    /// The store it first funnels to.
+    pub target_store: StoreId,
+    /// Day it was compromised / registered and SEO started.
+    pub live_from: SimDate,
+    /// Day it stops redirecting (cohort retirement), exclusive.
+    pub live_until: SimDate,
 }
 
 impl DoorwayRow<'_> {
@@ -409,7 +500,7 @@ impl DoorwayTable {
         self.live_from[i] <= day && day < self.live_until[i]
     }
 
-    fn push(&mut self, campaign: CampaignId, d: DoorwayState) -> DoorwayId {
+    fn push(&mut self, campaign: CampaignId, d: NewDoorway) -> DoorwayId {
         if self.terms_off.is_empty() {
             self.terms_off.push(0);
         }
@@ -420,11 +511,36 @@ impl DoorwayTable {
         self.target_store.push(d.target_store);
         self.live_from.push(d.live_from);
         self.live_until.push(d.live_until);
-        self.penalized.push(d.penalized);
+        self.penalized.push(None);
         self.terms.extend_from_slice(&d.terms);
         self.terms_off.push(self.terms.len() as u32);
         id
     }
+
+    fn read_row(&mut self, campaign: CampaignId, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.campaign.push(campaign);
+        self.domain.push(DomainId(r.get_u32()?));
+        for _ in 0..r.get_len()? {
+            self.terms.push(TermId(r.get_u32()?));
+        }
+        self.terms_off.push(self.terms.len() as u32);
+        self.vertical.push(VerticalId(r.get_u32()?));
+        self.target_store.push(StoreId(r.get_u32()?));
+        self.live_from.push(r.get_date()?);
+        self.live_until.push(r.get_date()?);
+        self.penalized.push(r.get_opt(|r| r.get_date())?);
+        Ok(())
+    }
+}
+
+fn put_doorway(w: &mut Writer, d: DoorwayRow<'_>) {
+    w.put_u32(d.domain.0);
+    w.put_seq(d.terms, |w, t| w.put_u32(t.0));
+    w.put_u32(d.vertical.0);
+    w.put_u32(d.target_store.0);
+    w.put_date(d.live_from);
+    w.put_date(d.live_until);
+    w.put_opt(d.penalized.as_ref(), |w, day| w.put_date(*day));
 }
 
 /// One campaign's contiguous doorway range — a borrowed, `Copy` window
@@ -504,6 +620,31 @@ pub struct CampaignRow<'a> {
     pub doorways: DoorwaySlice<'a>,
 }
 
+/// The fields of a campaign fixed at creation — what world generation
+/// hands [`CampaignTable::push`]. Store and doorway fleets start empty and
+/// grow through [`CampaignTable::add_store`] and
+/// [`CampaignTable::push_doorway`].
+#[derive(Debug, Clone)]
+pub struct NewCampaign {
+    /// Table 2 name, or `SHADOW.n` for the unclassified tail.
+    pub name: String,
+    /// Whether the campaign is in the 52-campaign classified universe
+    /// (false for the shadow tail the labeled set never covers).
+    pub classified: bool,
+    /// Verticals targeted.
+    pub verticals: Vec<VerticalId>,
+    /// Cloaking mechanism used by this campaign's kit.
+    pub cloak: CloakMode,
+    /// Activity schedule (non-overlapping, ordered).
+    pub windows: Vec<ActivityWindow>,
+    /// Days the campaign takes to re-point doorways after a store seizure
+    /// (§5.3.2: 7 days for GBC-seized stores, 15 for SMGPA on average).
+    pub reaction_days: u32,
+    /// Whether the campaign partners with the tracked supplier (§4.5:
+    /// MSVALIDATE does).
+    pub supplier_partner: bool,
+}
+
 impl CampaignRow<'_> {
     /// Juice level on `day` (0 outside all windows). Overlapping windows
     /// combine by maximum.
@@ -532,20 +673,14 @@ impl CampaignTable {
         self.name.is_empty()
     }
 
-    /// Appends a campaign built as a nested [`CampaignState`]. The state's
-    /// `id` must equal the next row index and its doorway fleet must be
-    /// empty — doorways are appended through [`CampaignTable::push_doorway`]
-    /// so each campaign's fleet stays a contiguous range.
-    pub fn push(&mut self, c: CampaignState) -> CampaignId {
-        assert_eq!(c.id.index(), self.len(), "campaign ids are dense");
-        assert!(
-            c.doorways.is_empty(),
-            "doorways are pushed through push_doorway, not carried in"
-        );
+    /// Appends a campaign with empty store and doorway fleets and returns
+    /// its id (the next row index).
+    pub fn push(&mut self, c: NewCampaign) -> CampaignId {
+        let id = CampaignId::from_index(self.len());
         self.name.push(c.name);
         self.classified.push(c.classified);
         self.verticals.push(c.verticals);
-        self.stores.push(c.stores);
+        self.stores.push(Vec::new());
         self.cloak.push(c.cloak);
         self.windows.push(c.windows);
         self.reaction_days.push(c.reaction_days);
@@ -553,7 +688,7 @@ impl CampaignTable {
         let n = self.doorways.len() as u32;
         self.doorway_start.push(n);
         self.doorway_end.push(n);
-        c.id
+        id
     }
 
     /// Borrowed view of row `id`.
@@ -612,7 +747,7 @@ impl CampaignTable {
     /// Appends a doorway to campaign `id`'s fleet. Only the campaign with
     /// the last fleet range may grow (world generation builds one campaign
     /// at a time), which keeps every fleet contiguous.
-    pub fn push_doorway(&mut self, id: CampaignId, d: DoorwayState) -> DoorwayId {
+    pub fn push_doorway(&mut self, id: CampaignId, d: NewDoorway) -> DoorwayId {
         let i = id.index();
         assert_eq!(
             self.doorway_end[i],
@@ -652,33 +787,59 @@ impl CampaignTable {
             .fold(0.0, f64::max)
     }
 
-    /// Reassembles the nested form of campaign `id` (round-trip tests).
-    pub fn materialize(&self, id: CampaignId) -> CampaignState {
-        let r = self.row(id);
-        CampaignState {
-            id: r.id,
-            name: r.name.to_owned(),
-            classified: r.classified,
-            verticals: r.verticals.to_vec(),
-            doorways: r
-                .doorways
-                .iter()
-                .map(|d| DoorwayState {
-                    domain: d.domain,
-                    terms: d.terms.to_vec(),
-                    vertical: d.vertical,
-                    target_store: d.target_store,
-                    live_from: d.live_from,
-                    live_until: d.live_until,
-                    penalized: d.penalized,
-                })
-                .collect(),
-            stores: r.stores.to_vec(),
-            cloak: r.cloak,
-            windows: r.windows.to_vec(),
-            reaction_days: r.reaction_days,
-            supplier_partner: r.supplier_partner,
+    /// Writes every row in id order, each campaign's doorway fleet inline —
+    /// the `world` frame's campaign section.
+    pub(crate) fn write_rows(&self, w: &mut Writer) {
+        w.put_len(self.len());
+        for c in self.iter() {
+            w.put_str(c.name);
+            w.put_bool(c.classified);
+            w.put_seq(c.verticals, |w, v| w.put_u32(v.0));
+            w.put_len(c.doorways.len());
+            for d in c.doorways.iter() {
+                put_doorway(w, d);
+            }
+            w.put_seq(c.stores, |w, s| w.put_u32(s.0));
+            put_cloak(w, &c.cloak);
+            w.put_seq(c.windows, |w, win| {
+                w.put_date(win.from);
+                w.put_date(win.to);
+                w.put_f64(win.juice);
+            });
+            w.put_u32(c.reaction_days);
+            w.put_bool(c.supplier_partner);
         }
+    }
+
+    /// Decodes rows written by [`CampaignTable::write_rows`] straight into
+    /// the columns, appending each fleet to the doorway table in order so
+    /// fleets stay contiguous.
+    pub(crate) fn read_rows(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let mut t = CampaignTable::default();
+        t.doorways.terms_off.push(0);
+        for ci in 0..r.get_len()? {
+            t.name.push(r.get_str()?);
+            t.classified.push(r.get_bool()?);
+            t.verticals
+                .push(r.get_seq(|r| Ok(VerticalId(r.get_u32()?)))?);
+            t.doorway_start.push(t.doorways.len() as u32);
+            for _ in 0..r.get_len()? {
+                t.doorways.read_row(CampaignId::from_index(ci), r)?;
+            }
+            t.doorway_end.push(t.doorways.len() as u32);
+            t.stores.push(r.get_seq(|r| Ok(StoreId(r.get_u32()?)))?);
+            t.cloak.push(get_cloak(r)?);
+            t.windows.push(r.get_seq(|r| {
+                Ok(ActivityWindow {
+                    from: r.get_date()?,
+                    to: r.get_date()?,
+                    juice: r.get_f64()?,
+                })
+            })?);
+            t.reaction_days.push(r.get_u32()?);
+            t.supplier_partner.push(r.get_bool()?);
+        }
+        Ok(t)
     }
 }
 
@@ -720,88 +881,57 @@ impl DomainRoute {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::TestRng;
+
     use super::*;
 
     fn day(n: u32) -> SimDate {
         SimDate::from_day_index(n)
     }
 
-    fn sample_store(i: usize, campaign: u32) -> StoreState {
-        StoreState {
-            id: StoreId::from_index(i),
+    fn sample_store(i: usize, campaign: u32) -> NewStore {
+        NewStore {
             campaign: CampaignId(campaign),
             name: format!("store {i}"),
             brands: vec![BrandId(i as u32), BrandId(7)],
-            locale: if i.is_multiple_of(2) {
-                "us".into()
-            } else {
-                "uk".into()
-            },
-            current_domain: DomainId(10 + i as u32),
-            domain_history: vec![(day(5), DomainId(10 + i as u32))],
+            locale: if i.is_multiple_of(2) { "us" } else { "uk" }.into(),
+            domain: DomainId(10 + i as u32),
             backup_pool: vec![DomainId(100 + i as u32)],
             order_counter: 2_000 + i as u64,
-            orders_accrued: 0,
             merchant_id: format!("m-{i}"),
             awstats_public: i == 0,
             created: day(5),
-            months: Vec::new(),
             seed: 42 + i as u64,
-            retired: false,
         }
     }
 
     #[test]
-    fn store_push_materialize_roundtrips() {
+    fn store_push_starts_the_row_state() {
         let mut t = StoreTable::default();
         for i in 0..4 {
-            t.push(sample_store(i, 1));
+            assert_eq!(t.push(sample_store(i, 1)), StoreId::from_index(i));
         }
         assert_eq!(t.len(), 4);
         // Locales interned: two distinct strings across four stores.
         assert_eq!(t.locales().len(), 2);
-        for i in 0..4 {
-            let m = t.materialize(StoreId::from_index(i));
-            let expect = sample_store(i, 1);
-            assert_eq!(m.name, expect.name);
-            assert_eq!(m.brands, expect.brands);
-            assert_eq!(m.locale, expect.locale);
-            assert_eq!(m.backup_pool, expect.backup_pool);
-            assert_eq!(m.order_counter, expect.order_counter);
+        for (i, r) in t.iter().enumerate() {
+            let s = sample_store(i, 1);
+            assert_eq!(r.name, s.name);
+            assert_eq!(r.brands, s.brands);
+            assert_eq!(r.locale, s.locale);
+            assert_eq!(r.current_domain, s.domain);
+            assert_eq!(r.domain_history, [(s.created, s.domain)]);
+            assert_eq!(r.backup_pool, s.backup_pool);
+            assert_eq!(r.order_counter, s.order_counter);
+            assert_eq!((r.orders_accrued, r.months.len(), r.retired), (0, 0, false));
         }
     }
 
-    #[test]
-    fn store_mutators_match_nested_semantics() {
-        let mut t = StoreTable::default();
-        let id = t.push(sample_store(0, 0));
-        let mut nested = sample_store(0, 0);
-
-        assert_eq!(t.allocate_order(id), nested.allocate_order());
-        t.add_orders(id, 10);
-        nested.add_orders(10);
-        t.record_traffic(id, day(30), 100, 560, &[("g.com".into(), 40)], 60);
-        nested.record_traffic(day(30), 100, 560, &[("g.com".into(), 40)], 60);
-        assert_eq!(t.rotate_domain(id, day(40)), nested.rotate_domain(day(40)));
-        assert_eq!(t.rotate_domain(id, day(50)), nested.rotate_domain(day(50)));
-
-        let m = t.materialize(id);
-        assert_eq!(m.order_counter, nested.order_counter);
-        assert_eq!(m.orders_accrued, nested.orders_accrued);
-        assert_eq!(m.months, nested.months);
-        assert_eq!(m.current_domain, nested.current_domain);
-        assert_eq!(m.domain_history, nested.domain_history);
-        assert_eq!(m.backup_pool, nested.backup_pool);
-    }
-
-    fn sample_campaign(i: usize) -> CampaignState {
-        CampaignState {
-            id: CampaignId::from_index(i),
+    fn sample_campaign(i: usize) -> NewCampaign {
+        NewCampaign {
             name: format!("C{i}"),
             classified: i == 0,
             verticals: vec![VerticalId(0)],
-            doorways: Vec::new(),
-            stores: vec![StoreId(i as u32)],
             cloak: CloakMode::Redirect,
             windows: vec![ActivityWindow {
                 from: day(100),
@@ -813,15 +943,14 @@ mod tests {
         }
     }
 
-    fn sample_doorway(k: u32, store: u32) -> DoorwayState {
-        DoorwayState {
+    fn sample_doorway(k: u32, store: u32) -> NewDoorway {
+        NewDoorway {
             domain: DomainId(500 + k),
             terms: vec![TermId(k), TermId(k + 1)],
             vertical: VerticalId(0),
             target_store: StoreId(store),
             live_from: day(100 + k),
             live_until: day(300),
-            penalized: None,
         }
     }
 
@@ -843,10 +972,10 @@ mod tests {
         let ids: Vec<u32> = t.row(a).doorways.iter().map(|d| d.id.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
 
-        let m = t.materialize(a);
-        assert_eq!(m.doorways.len(), 3);
-        assert_eq!(m.doorways[2].terms, vec![TermId(2), TermId(3)]);
-        assert_eq!(m.juice_on(day(150)), t.row(a).juice_on(day(150)));
+        let d = t.row(a).doorways.at(2);
+        assert_eq!(d.terms, [TermId(2), TermId(3)]);
+        assert_eq!((d.campaign, d.live_from, d.penalized), (a, day(102), None));
+        assert_eq!(t.juice_on_at(0, day(150)), t.row(a).juice_on(day(150)));
     }
 
     #[test]
@@ -879,5 +1008,188 @@ mod tests {
         assert_eq!(r.doorway(DomainId(4)), None);
         // Beyond the table: late-registered bulk domains are not doorways.
         assert_eq!(r.doorway(DomainId(1_000_000)), None);
+    }
+
+    // ---- checkpoint codec ----
+
+    fn any_day(rng: &mut TestRng) -> SimDate {
+        day(rng.below(500) as u32)
+    }
+
+    fn any_id(rng: &mut TestRng, below: usize) -> usize {
+        rng.below(below as u64) as usize
+    }
+
+    fn word(rng: &mut TestRng) -> String {
+        (0..2 + rng.below(10))
+            .map(|_| (b'a' + rng.below(26) as u8) as char)
+            .collect()
+    }
+
+    const LOCALES: [&str; 5] = ["us", "uk", "fr", "de", "jp"];
+
+    fn any_store(rng: &mut TestRng) -> NewStore {
+        NewStore {
+            campaign: CampaignId::from_index(any_id(rng, 8)),
+            name: word(rng),
+            brands: (0..rng.below(5))
+                .map(|_| BrandId::from_index(any_id(rng, 40)))
+                .collect(),
+            locale: LOCALES[any_id(rng, LOCALES.len())].into(),
+            domain: DomainId::from_index(any_id(rng, 4096)),
+            backup_pool: (0..rng.below(4))
+                .map(|_| DomainId::from_index(any_id(rng, 4096)))
+                .collect(),
+            order_counter: rng.below(1_000_000),
+            merchant_id: word(rng),
+            awstats_public: rng.below(2) == 1,
+            created: any_day(rng),
+            seed: rng.next_u64(),
+        }
+    }
+
+    fn any_campaign(rng: &mut TestRng) -> NewCampaign {
+        NewCampaign {
+            name: word(rng).to_ascii_uppercase(),
+            classified: rng.below(2) == 1,
+            verticals: (0..1 + rng.below(3))
+                .map(|_| VerticalId::from_index(any_id(rng, 16)))
+                .collect(),
+            cloak: match rng.below(3) {
+                0 => CloakMode::Redirect,
+                1 => CloakMode::JsRedirect,
+                _ => CloakMode::Iframe {
+                    obfuscation: rng.below(4) as u8,
+                },
+            },
+            windows: (0..rng.below(3))
+                .map(|_| ActivityWindow {
+                    from: any_day(rng),
+                    to: any_day(rng),
+                    juice: rng.below(1000) as f64 / 1000.0,
+                })
+                .collect(),
+            reaction_days: rng.below(30) as u32,
+            supplier_partner: rng.below(2) == 1,
+        }
+    }
+
+    fn any_doorway(rng: &mut TestRng) -> NewDoorway {
+        NewDoorway {
+            domain: DomainId::from_index(any_id(rng, 4096)),
+            terms: (0..1 + rng.below(5))
+                .map(|_| TermId::from_index(any_id(rng, 2048)))
+                .collect(),
+            vertical: VerticalId::from_index(any_id(rng, 16)),
+            target_store: StoreId::from_index(any_id(rng, 16)),
+            live_from: any_day(rng),
+            live_until: any_day(rng),
+        }
+    }
+
+    /// Grows both tables through `push` and every tick mutator.
+    fn grown_tables(rng: &mut TestRng) -> (StoreTable, CampaignTable) {
+        let (mut stores, mut campaigns) = (StoreTable::default(), CampaignTable::default());
+        for _ in 0..rng.below(6) {
+            let c = campaigns.push(any_campaign(rng));
+            for _ in 0..rng.below(5) {
+                campaigns.push_doorway(c, any_doorway(rng));
+            }
+        }
+        for _ in 0..rng.below(12) {
+            stores.push(any_store(rng));
+        }
+        for _ in 0..rng.below(60) {
+            let today = any_day(rng);
+            if !stores.is_empty() {
+                let s = StoreId::from_index(any_id(rng, stores.len()));
+                match rng.below(6) {
+                    0 => {
+                        stores.allocate_order(s);
+                    }
+                    1 => stores.add_orders(s, rng.below(50)),
+                    2 => {
+                        let referred = vec![(word(rng), rng.below(40))];
+                        let (visits, pages) = (rng.below(500), rng.below(900));
+                        stores.record_traffic(s, today, visits, pages, &referred, rng.below(60));
+                    }
+                    3 => {
+                        stores.rotate_domain(s, today);
+                    }
+                    4 => stores.retire(s),
+                    _ => stores.set_locale(s, &word(rng)),
+                }
+            }
+            if !campaigns.is_empty() {
+                let c = CampaignId::from_index(any_id(rng, campaigns.len()));
+                let s = StoreId::from_index(any_id(rng, 16));
+                match rng.below(3) {
+                    0 => campaigns.add_store(c, s),
+                    1 => {
+                        campaigns.repoint_doorways(c, s, StoreId::from_index(any_id(rng, 16)));
+                    }
+                    _ if !campaigns.doorway_table().is_empty() => {
+                        let d = DoorwayId::from_index(any_id(rng, campaigns.doorway_table().len()));
+                        campaigns.penalize_doorway(d, today);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        (stores, campaigns)
+    }
+
+    fn encode(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        write(&mut w);
+        w.into_bytes()
+    }
+
+    fn decode<T>(
+        bytes: &[u8],
+        read: impl FnOnce(&mut Reader<'_>) -> Result<T, SnapshotError>,
+    ) -> T {
+        let mut r = Reader::new(bytes);
+        let t = read(&mut r).expect("rows decode");
+        assert_eq!(r.remaining(), 0, "rows decode to the end");
+        t
+    }
+
+    /// `write_rows` → `read_rows` gives back the same rows, and the decoded
+    /// tables re-encode to the same bytes.
+    #[test]
+    fn rows_survive_the_checkpoint_codec() {
+        let mut rng = TestRng::for_test("tables::rows_survive_the_checkpoint_codec");
+        for _ in 0..64 {
+            let (stores, campaigns) = grown_tables(&mut rng);
+
+            let bytes = encode(|w| stores.write_rows(w));
+            let back = decode(&bytes, StoreTable::read_rows);
+            assert!(stores.iter().eq(back.iter()), "store rows changed");
+            assert_eq!(encode(|w| back.write_rows(w)), bytes);
+
+            let bytes = encode(|w| campaigns.write_rows(w));
+            let back = decode(&bytes, CampaignTable::read_rows);
+            assert_eq!(back.len(), campaigns.len());
+            for (a, b) in campaigns.iter().zip(back.iter()) {
+                assert_eq!(
+                    (a.name, a.classified, a.verticals),
+                    (b.name, b.classified, b.verticals)
+                );
+                assert_eq!(
+                    (a.stores, a.cloak, a.windows),
+                    (b.stores, b.cloak, b.windows)
+                );
+                assert_eq!(
+                    (a.reaction_days, a.supplier_partner),
+                    (b.reaction_days, b.supplier_partner)
+                );
+                assert!(
+                    a.doorways.iter().eq(b.doorways.iter()),
+                    "doorway rows changed"
+                );
+            }
+            assert_eq!(encode(|w| back.write_rows(w)), bytes);
+        }
     }
 }

@@ -12,7 +12,9 @@
 use std::collections::BTreeMap;
 
 use ss_types::market::VerticalSpec;
-use ss_types::{BrandId, CampaignId, DomainId, FirmId, SimDate, StoreId, TermId, Url, VerticalId};
+use ss_types::{
+    BrandId, CampaignId, DomainId, DoorwayId, FirmId, SimDate, StoreId, TermId, Url, VerticalId,
+};
 
 use ss_search::SearchEngine;
 use ss_web::cloak::{self, CloakMode, ServeDecision};
@@ -145,6 +147,22 @@ impl World {
             recorder: ss_obs::FlightRecorder::disabled(),
             event_trail: Vec::new(),
         }
+    }
+
+    /// Derives what indexes the entity tables from their rows: the
+    /// domain → doorway route and the per-campaign store templates. World
+    /// generation and checkpoint decode both end here, so neither index is
+    /// ever serialized.
+    pub(crate) fn index_entities(&mut self) {
+        for (i, &domain) in self.campaigns.doorways.domain.iter().enumerate() {
+            self.route.set(domain, DoorwayId::from_index(i));
+        }
+        let seed = self.cfg.seed;
+        self.templates = self
+            .campaigns
+            .iter()
+            .map(|c| StoreTemplate::for_campaign(c.name, seed))
+            .collect();
     }
 
     /// Points the tick plane's flight recorder — and with it the

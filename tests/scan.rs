@@ -167,20 +167,7 @@ fn fused_scan_equals_per_module_recomputation() {
     ));
     for _ in 0..3 {
         let seed = rng.below(1000);
-        let out = study(seed);
-        assert_scan_matches_reference(&out);
-
-        // The driver's own legacy shape (five separate passes over the
-        // same aggregators) must agree too.
-        let obs = Registry::new();
-        let per_module = StudyScan::compute_per_module(
-            &out.crawler.db,
-            &out.attribution,
-            out.monitored.len(),
-            out.window,
-            &obs,
-        );
-        prop_assert_eq!(&per_module, &out.scan, "seed {}", seed);
+        assert_scan_matches_reference(&study(seed));
     }
 }
 
@@ -225,19 +212,4 @@ fn scan_counts_exactly_its_passes() {
         &obs,
     );
     assert_eq!(obs.counter_total("analysis.passes"), 1);
-
-    // Legacy per-module shape: five passes, five times the rows.
-    let obs = Registry::new();
-    let _ = StudyScan::compute_per_module(
-        &out.crawler.db,
-        &out.attribution,
-        out.monitored.len(),
-        out.window,
-        &obs,
-    );
-    assert_eq!(obs.counter_total("analysis.passes"), 5);
-    assert_eq!(
-        obs.counter_total("analysis.rows_scanned"),
-        5 * out.crawler.db.psrs.len() as u64
-    );
 }
