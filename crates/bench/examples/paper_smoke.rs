@@ -179,7 +179,7 @@ fn main() {
     let (mut checkpoint_bytes, mut checkpoint_load_s) = (None, None);
     let checkpoint_save_s = output
         .metrics
-        .span_stats("study.checkpoint")
+        .cost_stats("study.checkpoint")
         .map(|s| s.total_ns as f64 / 1e9);
     if checkpoint {
         let first = std::fs::read_dir(&ckpt_dir)

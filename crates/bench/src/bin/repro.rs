@@ -36,8 +36,8 @@
 //! every `N` (default: serial).
 //!
 //! Tracing is on by default for `repro` runs: the flight recorder and the
-//! tick-plane event trail feed `repro explain`, and the wall-clock stage
-//! timeline is written to `reports/trace.json` (load it at
+//! tick-plane event trail feed `repro explain`, and the registry's
+//! wall-frame timeline is written to `reports/trace.json` (load it at
 //! <https://ui.perfetto.dev>). `--no-trace` turns all of it off; benches
 //! and library users default to off.
 //!
@@ -355,7 +355,7 @@ fn main() {
 }
 
 /// `repro diff a.json b.json` — structural manifest diff. Wall-clock
-/// fields (stage timings, spans, per-day elapsed) are excluded, so two
+/// fields (stage and cost timings, per-day elapsed) are excluded, so two
 /// runs of the same study diff clean regardless of machine speed.
 fn run_diff(args: &Args) {
     let [a_path, b_path] = args.operands.as_slice() else {
@@ -640,12 +640,24 @@ fn manifest_report(out: &StudyOutput) -> ExperimentReport {
     let m = &out.manifest;
     ExperimentReport::new("S10", "run manifest — telemetry summary")
         .narrate(
-            "Provenance and instrumentation of this very run: per-stage wall-clock              spans, the deterministic counter/histogram registry, and the headline              observables the golden test pins.",
+            "Provenance and instrumentation of this very run: per-stage wall-clock \
+             frames, the deterministic counter/histogram registry, and the headline \
+             observables the golden test pins.",
         )
         .compare("stages timed", "5", m.stage_timings.len(), false)
-        .compare("distinct metrics recorded", "≥ 12", out.metrics.metric_names().len(), false)
+        .compare(
+            "distinct metrics recorded",
+            "≥ 12",
+            out.metrics.metric_names().len(),
+            false,
+        )
         .compare("PSR observations", "—", m.headline.psrs, false)
-        .compare("seizure notices observed", "—", m.headline.seizure_notices, false)
+        .compare(
+            "seizure notices observed",
+            "—",
+            m.headline.seizure_notices,
+            false,
+        )
         .compare("test orders", "—", m.headline.test_orders, false)
         .artifact("summary table", m.summary_table())
 }

@@ -7,8 +7,10 @@
 //! writer-only, so the parser lives here), then walks both trees and
 //! reports every path where they disagree — except wall-clock fields:
 //!
-//! * `stage_timings`, `spans`, and `cost_timings` subtrees (durations),
-//!   and
+//! * `stage_timings` and `cost_timings` subtrees (durations, the wall
+//!   rows included), plus `spans`, the wall-clock section manifests
+//!   carried before wall frames joined `cost_timings`, so an older
+//!   manifest still compares, and
 //! * any field named `elapsed_ms`, at any depth.
 //!
 //! Everything else — headline counts, calibration statuses, per-day
@@ -281,17 +283,25 @@ pub fn trail_diff(a: &Value, b: &Value) -> Vec<TrailKindDiff> {
     out
 }
 
+/// Deepest object/array nesting [`parse_json`] accepts. Manifests nest
+/// about five levels; the cap keeps hostile input from overflowing the
+/// recursive parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into the in-tree [`Value`].
 ///
 /// Accepts exactly what the vendored writer emits (objects, arrays,
 /// strings with escapes, numbers, booleans, null) plus arbitrary
-/// whitespace; rejects trailing garbage. Numbers without `.`/`e` parse
-/// as `UInt` (or `Int` when negative), matching the writer's choices so
-/// a parse/serialize round trip is stable.
+/// whitespace; rejects trailing garbage and nesting deeper than
+/// [`MAX_DEPTH`]. Numbers without `.`/`e` parse as `UInt` (or `Int` when
+/// negative), matching the writer's choices so a parse/serialize round
+/// trip is stable.
 pub fn parse_json(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -303,8 +313,11 @@ pub fn parse_json(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -343,8 +356,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -356,6 +369,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one object or array one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -460,11 +488,13 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = text.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 scalar straight from the input
+                    // `&str`: `pos` sits on a char boundary here.
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("unterminated string")?;
                     s.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -643,6 +673,40 @@ mod tests {
         let d = trail_diff(&mk("bbbb", 3), &empty);
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].right, None);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let objects = "{\"a\": ".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse_json(&objects).is_ok());
+        for levels in [MAX_DEPTH + 1, 1_000_000] {
+            let err = parse_json(&nested(levels)).expect_err("too deep");
+            assert!(err.starts_with("nesting deeper than 128"), "{err}");
+        }
+    }
+
+    #[test]
+    fn long_non_ascii_strings_parse_in_one_pass() {
+        let text: String = "é€😀x".chars().cycle().take(200_000).collect();
+        let rendered = serde_json::to_string(&Value::Str(text.clone())).expect("renders");
+        assert_eq!(parse_json(&rendered), Ok(Value::Str(text)));
+    }
+
+    #[test]
+    fn manifests_with_and_without_spans_diff_clean() {
+        let old = parse_json(
+            r#"{"seed": 7, "spans": {"stage.crawl": {"count": 3, "total_ms": 5.0}},
+                "cost_timings": {"crawl/fetch": {"total_ms": 1.0}}}"#,
+        )
+        .unwrap();
+        let new = parse_json(
+            r#"{"seed": 7, "cost_timings": {"crawl/fetch": {"total_ms": 2.0},
+                "stage.crawl": {"total_ms": 6.0, "self_ms": 4.0}}}"#,
+        )
+        .unwrap();
+        assert!(diff(&old, &new).is_empty());
     }
 
     #[test]

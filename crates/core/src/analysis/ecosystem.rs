@@ -2,9 +2,10 @@
 
 use std::collections::HashSet;
 
-use ss_stats::{peak_range, render, DailySeries};
+use ss_stats::{peak_range, render};
 use ss_types::SimDate;
 
+use crate::analysis::scan::StudyScan;
 use crate::pipeline::StudyOutput;
 
 /// Measured Table 1 row (per vertical).
@@ -178,20 +179,13 @@ pub fn table2(out: &StudyOutput) -> Table2 {
         }
     }
 
+    let peaks = class_peak_days(&out.scan, out.window);
     let mut rows = Vec::new();
-    let mut peak_sum = 0.0;
-    let mut peak_n = 0usize;
     for c in 0..n_classes {
         if doorways[c].is_empty() && stores[c].is_empty() {
             continue; // campaign never observed in this run
         }
         let name = out.attribution.class_names[c].clone();
-        let series: DailySeries = super::campaign_psr_series(out, c, false);
-        let peak = peak_range(&series, 0.6).map(|p| p.days);
-        if let Some(d) = peak {
-            peak_sum += f64::from(d);
-            peak_n += 1;
-        }
         let paper = ss_types::market::NAMED_CAMPAIGNS
             .iter()
             .find(|s| s.name == name)
@@ -201,18 +195,39 @@ pub fn table2(out: &StudyOutput) -> Table2 {
             doorways: doorways[c].len() as u64,
             stores: stores[c].len() as u64,
             brands: brands[c].len() as u64,
-            peak_days: peak,
+            peak_days: peaks[c],
             paper,
         });
     }
     rows.sort_by(|a, b| b.doorways.cmp(&a.doorways).then(a.name.cmp(&b.name)));
     Table2 {
         rows,
-        mean_peak_days: if peak_n == 0 {
-            0.0
-        } else {
-            peak_sum / peak_n as f64
-        },
+        mean_peak_days: mean_peak_days(&peaks),
+    }
+}
+
+/// Peak poisoning duration of every attribution class, indexed by class:
+/// the shortest run of days in `window` holding 60% of the class's PSRs
+/// (§5.1.2), `None` for a class with no PSRs.
+pub fn class_peak_days(scan: &StudyScan, window: (SimDate, SimDate)) -> Vec<Option<u32>> {
+    scan.classes
+        .iter()
+        .map(|c| peak_range(&super::dense_window(window, &c.daily), 0.6).map(|p| p.days))
+        .collect()
+}
+
+/// Mean of the peak durations that exist (the Table 2 mean; paper: 51.3
+/// days), 0 when no class has one. Sums in class order, so Table 2 and
+/// the calibration gate read the same bits.
+pub fn mean_peak_days(peaks: &[Option<u32>]) -> f64 {
+    let (sum, n) = peaks
+        .iter()
+        .flatten()
+        .fold((0.0, 0usize), |(sum, n), &d| (sum + f64::from(d), n + 1));
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
     }
 }
 
@@ -255,14 +270,19 @@ impl Table2 {
 
 /// Distribution skew check (§5.1): the largest campaigns should account
 /// for the majority of attributed PSRs. Returns the attributed-PSR share
-/// of the top-k campaigns, straight off the scan's per-class counts.
+/// of the top-k campaigns.
 pub fn top_k_psr_share(out: &StudyOutput, k: usize) -> f64 {
-    let total: u64 = out.scan.classes.iter().map(|c| c.psrs).sum();
+    class_top_k_share(&out.scan, k)
+}
+
+/// The attributed-PSR share of the `k` largest classes, straight off the
+/// scan's per-class counts; 0 when nothing was attributed.
+pub fn class_top_k_share(scan: &StudyScan, k: usize) -> f64 {
+    let total: u64 = scan.classes.iter().map(|c| c.psrs).sum();
     if total == 0 {
         return 0.0;
     }
-    let mut counts: Vec<u64> = out
-        .scan
+    let mut counts: Vec<u64> = scan
         .classes
         .iter()
         .map(|c| c.psrs)

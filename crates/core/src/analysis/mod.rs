@@ -16,10 +16,10 @@ use ss_stats::DailySeries;
 
 use crate::pipeline::StudyOutput;
 
-/// A dense all-days-zero series over the study window, onto which the
-/// scan's sparse per-day counts are folded.
-fn dense_window(out: &StudyOutput, sparse: &DailySeries) -> DailySeries {
-    let (start, end) = out.window;
+/// A dense all-days-zero series over `window`, onto which the scan's
+/// sparse per-day counts are folded.
+fn dense_window(window: (SimDate, SimDate), sparse: &DailySeries) -> DailySeries {
+    let (start, end) = window;
     let mut s = DailySeries::new(start, end);
     for day in SimDate::range_inclusive(start, end) {
         s.set(day, 0.0);
@@ -35,7 +35,10 @@ fn dense_window(out: &StudyOutput, sparse: &DailySeries) -> DailySeries {
 /// one-pass scan — no corpus iteration.
 pub fn campaign_psr_series(out: &StudyOutput, class: usize, top10_only: bool) -> DailySeries {
     let c = &out.scan.classes[class];
-    dense_window(out, if top10_only { &c.daily_top10 } else { &c.daily })
+    dense_window(
+        out.window,
+        if top10_only { &c.daily_top10 } else { &c.daily },
+    )
 }
 
 /// Daily PSR-count series for PSRs landing on a specific store domain set.

@@ -8,11 +8,12 @@
 //! file as the run's artifact, and the golden test pins the deterministic
 //! half (see `tests/golden_manifest.rs`).
 //!
-//! Determinism: everything in the manifest except the `spans` section and
-//! the timing fields is a pure function of the configuration — two runs
-//! with the same config produce identical headline and metric sections at
-//! any crawl thread count (the crawl merges per-worker registries in
-//! vertical order; see the `ss-obs` crate docs).
+//! Determinism: everything in the manifest except the `stage_timings` and
+//! `cost_timings` sections and the `elapsed_ms` fields is a pure function
+//! of the configuration — two runs with the same config produce identical
+//! headline and metric sections at any crawl thread count (the crawl
+//! merges per-worker registries in vertical order; see the `ss-obs` crate
+//! docs). Every wall-clock field is read from the registry's wall frames.
 
 use std::collections::HashMap;
 
@@ -34,7 +35,7 @@ pub struct StageTiming {
     pub days: u64,
     /// Total wall-clock milliseconds across the run.
     pub total_ms: f64,
-    /// Exclusive milliseconds (children's spans carved out).
+    /// Exclusive milliseconds (children's frames carved out).
     pub self_ms: f64,
     /// Slowest single day, milliseconds.
     pub max_ms: f64,
@@ -51,7 +52,7 @@ pub struct DayRecord {
     pub test_orders: u64,
     /// Real purchases completed so far.
     pub purchases: u64,
-    /// Wall-clock milliseconds this day took.
+    /// Wall-clock milliseconds this day took (its `study.day` frame).
     pub elapsed_ms: f64,
 }
 
@@ -151,68 +152,28 @@ pub fn evaluate_calibration(
         .collect()
 }
 
-/// One wall-clock timeline slice of the daily loop: a stage (or the
-/// world tick) on one day, positioned relative to the run start. Feeds
-/// the Chrome trace export; never compared across runs.
-#[derive(Debug, Clone)]
-pub struct StageSlice {
-    /// Day index the slice belongs to.
-    pub day: u32,
-    /// Stage name (or `world-tick`).
-    pub stage: &'static str,
-    /// Microseconds since the daily loop started.
-    pub ts_us: u64,
-    /// Slice duration in microseconds.
-    pub dur_us: u64,
-}
-
-/// Assembles the Chrome trace-event document: the per-day stage timeline
-/// on one lane, aggregate span totals on another, and a cumulative PSR
-/// counter track. Load the written file at `ui.perfetto.dev`.
-pub fn chrome_trace(
-    obs: &Registry,
-    slices: &[StageSlice],
-    days: &[DayRecord],
-) -> ss_obs::ChromeTrace {
+/// Assembles the Chrome trace-event document: the registry's whole
+/// wall-frame timeline on one lane, where frames nest by time, and a
+/// cumulative PSR counter sampled at the end of each `study.day` frame.
+/// `days` may begin with days restored from a checkpoint, which another
+/// process ran: the frames close only for this process's days, so they
+/// pair with the last records. Load the written file at
+/// `ui.perfetto.dev`.
+pub fn chrome_trace(obs: &Registry, days: &[DayRecord]) -> ss_obs::ChromeTrace {
+    let timeline = obs.timeline();
     let mut trace = ss_obs::ChromeTrace::new();
     trace.name_process(1, "study");
-    trace.name_thread(1, 1, "daily loop");
-    trace.name_thread(1, 2, "span totals (aggregate)");
-    for s in slices {
-        trace.complete(
-            s.stage,
-            "stage",
-            1,
-            1,
-            s.ts_us,
-            s.dur_us,
-            vec![("day".into(), Value::UInt(u64::from(s.day)))],
-        );
+    trace.name_thread(1, 1, "wall frames");
+    for s in &timeline {
+        trace.complete(s.path, "wall", 1, 1, s.start_us, s.dur_us, Vec::new());
     }
-    // Aggregate span totals laid end-to-end: not a timeline, but it puts
-    // every span's total/self/max on one readable lane.
-    let mut cursor = 0u64;
-    for (name, s) in obs.spans() {
-        let dur = s.total_ns / 1_000;
-        trace.complete(
-            &name,
-            "span-total",
-            1,
-            2,
-            cursor,
-            dur,
-            vec![
-                ("count".into(), Value::UInt(s.count)),
-                ("self_ms".into(), Value::Float(s.self_ns as f64 / 1e6)),
-                ("max_ms".into(), Value::Float(s.max_ns as f64 / 1e6)),
-            ],
-        );
-        cursor += dur.max(1);
-    }
-    // Cumulative PSRs per day, on the day's wall-clock end position.
-    let mut end_us = 0u64;
-    for d in days {
-        end_us += (d.elapsed_ms * 1_000.0) as u64;
+    let day_ends: Vec<u64> = timeline
+        .iter()
+        .filter(|s| s.path == "study.day")
+        .map(|s| s.start_us + s.dur_us)
+        .collect();
+    let ran = &days[days.len().saturating_sub(day_ends.len())..];
+    for (end_us, d) in day_ends.into_iter().zip(ran) {
         trace.counter("psrs", 1, end_us, vec![("total".into(), d.psrs as f64)]);
     }
     trace
@@ -309,7 +270,7 @@ pub struct RunManifest {
     pub seed: u64,
     /// Crawl window `(first, last)` day indices, inclusive.
     pub window: (u32, u32),
-    /// Per-stage wall-clock timings (from the `stage.*` spans).
+    /// Per-stage wall-clock timings (from the `stage.*` wall frames).
     pub stage_timings: Vec<StageTiming>,
     /// Headline observables.
     pub headline: Headline,
@@ -399,27 +360,36 @@ pub fn headline(
     }
 }
 
-/// Extracts `stage.*` span aggregates from the registry, in the
-/// schedule's execution order.
+/// Reads the `stage.*` wall rows from the registry, in the schedule's
+/// execution order: days from the row's closes, total and self time
+/// from the row, and the slowest day from the timeline.
 pub fn stage_timings(obs: &Registry, stage_names: &[&'static str]) -> Vec<StageTiming> {
     let ns_ms = |ns: u64| ns as f64 / 1_000_000.0;
+    let timeline = obs.timeline();
     stage_names
         .iter()
         .filter_map(|name| {
-            let s = obs.span_stats(&format!("stage.{name}"))?;
+            let path = format!("stage.{name}");
+            let s = obs.cost_stats(&path)?;
+            let max_us = timeline
+                .iter()
+                .filter(|slice| slice.path == path)
+                .map(|slice| slice.dur_us)
+                .max()
+                .unwrap_or(0);
             Some(StageTiming {
                 stage: (*name).to_owned(),
-                days: s.count,
+                days: s.enters,
                 total_ms: ns_ms(s.total_ns),
                 self_ms: ns_ms(s.self_ns),
-                max_ms: ns_ms(s.max_ns),
+                max_ms: max_us as f64 / 1_000.0,
             })
         })
         .collect()
 }
 
 impl RunManifest {
-    /// Renders the manifest plus the registry's metric and span sections
+    /// Renders the manifest plus the registry's metric and cost sections
     /// as one JSON document.
     pub fn to_value(&self, obs: &Registry) -> Value {
         Value::Map(vec![
@@ -441,10 +411,10 @@ impl RunManifest {
             ("days".into(), self.days.serialize()),
             ("event_trail".into(), self.event_trail.serialize()),
             ("metrics".into(), obs.metrics_value()),
-            ("spans".into(), obs.spans_value()),
-            // Deterministic phase costs and their wall-clock companion —
-            // kept as separate sections so goldens and `repro diff` can
-            // pin the former and ignore the latter.
+            // Deterministic phase costs and their wall-clock companion
+            // (the wall rows included) — kept as separate sections so
+            // goldens and `repro diff` can pin the former and ignore the
+            // latter.
             ("cost_profile".into(), obs.costs_value()),
             ("cost_timings".into(), obs.cost_timings_value()),
         ])
@@ -588,28 +558,65 @@ mod tests {
         assert_eq!(rows[3].measured, None);
     }
 
-    #[test]
-    fn chrome_trace_renders_slices_spans_and_counters() {
-        let obs = Registry::new();
-        ss_obs::time!(obs, "study.warmup", std::hint::black_box(1 + 1));
-        let slices = vec![StageSlice {
-            day: 3,
-            stage: "crawl",
-            ts_us: 10,
-            dur_us: 25,
-        }];
-        let days = vec![DayRecord {
-            day: 3,
-            psrs: 7,
+    fn day(day: u32, psrs: u64) -> DayRecord {
+        DayRecord {
+            day,
+            psrs,
             test_orders: 0,
             purchases: 0,
             elapsed_ms: 1.5,
-        }];
-        let trace = chrome_trace(&obs, &slices, &days);
+        }
+    }
+
+    #[test]
+    fn chrome_trace_renders_slices_spans_and_counters() {
+        let obs = Registry::new();
+        {
+            let _day = obs.span("study.day");
+            drop(obs.span("stage.crawl"));
+        }
+        let trace = chrome_trace(&obs, &[day(3, 7)]);
         let json = trace.to_json();
         assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("study.warmup"));
-        assert!(json.contains("\"crawl\""));
+        assert!(json.contains("\"study.day\""));
+        assert!(json.contains("\"stage.crawl\""));
         assert!(json.contains("\"psrs\""));
+    }
+
+    /// A resumed run's records begin with days another process ran; only
+    /// the days with a `study.day` frame here get a PSR sample, each at
+    /// the end of its frame.
+    #[test]
+    fn restored_days_get_no_psr_sample() {
+        let obs = Registry::new();
+        drop(obs.span("study.warmup"));
+        drop(obs.span("study.day"));
+        let trace = chrome_trace(&obs, &[day(3, 7), day(4, 11)]);
+        let Value::Map(root) = trace.to_value() else {
+            panic!("trace is a map")
+        };
+        let Value::Seq(events) = &root[0].1 else {
+            panic!("traceEvents is a list")
+        };
+        let field = |e: &Value, key: &str| match e {
+            Value::Map(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()),
+            _ => None,
+        };
+        let samples: Vec<&Value> = events
+            .iter()
+            .filter(|e| field(e, "ph") == Some(Value::Str("C".into())))
+            .collect();
+        assert_eq!(samples.len(), 1, "one sample for the one day run here");
+        let args = field(samples[0], "args").expect("counter args");
+        assert_eq!(field(&args, "total"), Some(Value::Float(11.0)));
+        let day_slice = obs
+            .timeline()
+            .into_iter()
+            .find(|s| s.path == "study.day")
+            .expect("day slice");
+        assert_eq!(
+            field(samples[0], "ts"),
+            Some(Value::UInt(day_slice.start_us + day_slice.dur_us))
+        );
     }
 }

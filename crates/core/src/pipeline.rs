@@ -12,17 +12,18 @@
 //! # Telemetry
 //!
 //! The run owns one [`ss_obs::Registry`]. Every stage executes under a
-//! `stage.{name}` span and records `pipeline.*` counters through
+//! `stage.{name}` wall frame and records `pipeline.*` counters through
 //! [`StageContext::obs`]; the crawler, sampler, and world contribute
 //! `crawl.*`, `orders.*`, and `eco.*` metrics of their own. At the end of
 //! the run everything is folded into one registry, summarized as a
 //! [`RunManifest`], and (when [`StudyConfig::manifest_path`] is set)
 //! written to disk. The counters and histograms are deterministic for a
-//! given config — identical at any crawl thread count — while span
-//! timings are wall-clock and live in a separate, non-compared section.
+//! given config — identical at any crawl thread count — while the wall
+//! frames' rows and timeline are wall-clock and live in separate,
+//! non-compared projections. The stage table, the per-day `elapsed_ms`
+//! and the Chrome trace are all read from those frames.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 use ss_obs::{Registry, TraceLevel};
 use ss_types::{DomainName, SimDate};
@@ -35,9 +36,10 @@ use ss_orders::purchasepair::{OrderSampler, SamplerConfig};
 use ss_orders::supplier_scrape::{self, SupplierDataset};
 use ss_orders::transactions::{self, Transaction};
 
+use crate::analysis::ecosystem;
 use crate::analysis::scan::StudyScan;
 use crate::attribution::{self, Attribution, AttributionConfig};
-use crate::manifest::{self, CalibrationTarget, DayRecord, RunManifest, StageSlice};
+use crate::manifest::{self, CalibrationTarget, DayRecord, RunManifest};
 use crate::state::{self, RunCheckpoint, RunOptions, RunState};
 
 /// Study configuration: the scenario plus every §4 programme knob.
@@ -224,8 +226,8 @@ pub struct StageContext<'a> {
 pub trait DailyStage {
     /// Stable stage name (for schedules, logs, and tests).
     fn name(&self) -> &'static str;
-    /// Static span key (`stage.{name}`), interned at compile time so the
-    /// daily loop never allocates a span-name `String` per (day × stage).
+    /// Static wall-frame path (`stage.{name}`), interned at compile time
+    /// so the daily loop never allocates a path `String` per (day × stage).
     fn span_name(&self) -> &'static str;
     /// Runs the stage for one day.
     fn run(&self, ctx: &StageContext<'_>, state: &mut DailyState, world: &mut World, day: SimDate);
@@ -442,21 +444,6 @@ impl Study {
         let cfg = &self.cfg;
         let start = cfg.crawl_start;
         let end = cfg.crawl_end;
-
-        // Wall-clock timeline for the Chrome trace export (only kept when
-        // a trace path is configured; never part of determinism checks).
-        let timeline = cfg.trace_path.is_some();
-        let mut slices: Vec<StageSlice> = Vec::new();
-        let run_clock = Instant::now();
-        let slice = |slices: &mut Vec<StageSlice>, day: SimDate, stage, since: Instant| {
-            let dur = since.elapsed().as_micros() as u64;
-            slices.push(StageSlice {
-                day: day.day_index(),
-                stage,
-                ts_us: (run_clock.elapsed().as_micros() as u64).saturating_sub(dur),
-                dur_us: dur,
-            });
-        };
         {
             // ---- the daily programme: run the registered schedule ----
             let ctx = StageContext {
@@ -465,46 +452,36 @@ impl Study {
                 obs: &state.obs,
             };
             for day in SimDate::range_inclusive(state.next_day, end) {
-                let day_clock = Instant::now();
-                {
-                    let _day_span = ctx.obs.span("study.day");
-                    let tick_clock = Instant::now();
-                    ss_obs::time!(ctx.obs, "study.world_tick", state.world.run_until(day));
-                    if timeline {
-                        slice(&mut slices, day, "world-tick", tick_clock);
-                    }
-                    for stage in &self.stages {
-                        let stage_clock = Instant::now();
-                        {
-                            let _stage_span = ctx.obs.span(stage.span_name());
-                            stage.run(&ctx, &mut state.daily, &mut state.world, day);
-                        }
-                        if timeline {
-                            slice(&mut slices, day, stage.name(), stage_clock);
-                        }
-                    }
+                let day_frame = ctx.obs.span("study.day");
+                let tick = ctx.obs.span("study.world_tick");
+                state.world.run_until(day);
+                drop(tick);
+                for stage in &self.stages {
+                    let _stage = ctx.obs.span(stage.span_name());
+                    stage.run(&ctx, &mut state.daily, &mut state.world, day);
                 }
                 // Drain the query plane's counters into the world registry
                 // at the day boundary, *before* any checkpoint: snapshots
                 // must never carry undrained residue, so a resumed run
                 // counts `engine.serp_queries` identically to a full one.
                 state.world.drain_engine_metrics();
+                let elapsed_ns = day_frame.finish();
                 state.day_records.push(DayRecord {
                     day: day.day_index(),
                     psrs: state.daily.crawler.db.psrs.len() as u64,
                     test_orders: state.daily.sampler.orders_created as u64,
                     purchases: state.daily.transactions.len() as u64,
-                    elapsed_ms: day_clock.elapsed().as_secs_f64() * 1_000.0,
+                    elapsed_ms: elapsed_ns as f64 / 1e6,
                 });
                 state.next_day = day + 1;
                 // Checkpoint at the day boundary. Saving observes the run
                 // without perturbing it: no RNG draw, no deterministic
-                // counter — only a wall-clock span.
+                // counter — only a wall frame.
                 if let Some(every) = opts.checkpoint_every {
                     if every > 0 && day < end && day.days_since(start) % i64::from(every) == 0 {
                         let dir = opts.checkpoint_dir.as_deref().unwrap_or("checkpoints");
                         let path = format!("{dir}/checkpoint-day{:04}.ssnp", day.day_index());
-                        let _ckpt_span = ctx.obs.span("study.checkpoint");
+                        let _checkpoint = ctx.obs.span("study.checkpoint");
                         state::save_checkpoint(&state, cfg, std::path::Path::new(&path))
                             .map_err(|e| ss_types::Error::Checkpoint(format!("{path}: {e}")))?;
                     }
@@ -530,7 +507,7 @@ impl Study {
         // ---- post-crawl collection ----
 
         // Supplier discovery via packing slips of completed purchases.
-        let _supplier_span = obs.span("study.supplier");
+        let supplier_frame = obs.span("study.supplier");
         let mut supplier = None;
         for tx in &transactions {
             let Ok(host) = DomainName::parse(&tx.store_domain) else {
@@ -572,25 +549,26 @@ impl Study {
             }
         }
 
-        drop(_supplier_span);
+        drop(supplier_frame);
 
         // Campaign identification (§4.2).
-        let attribution = ss_obs::time!(obs, "study.attribution", {
-            attribution::attribute(&world, &crawler.db, &cfg.attribution, cfg.scenario.seed)
-        });
+        let attribution_frame = obs.span("study.attribution");
+        let attribution =
+            attribution::attribute(&world, &crawler.db, &cfg.attribution, cfg.scenario.seed);
+        drop(attribution_frame);
 
         // The one shared aggregation pass every analysis reads from
         // (ticks the `analysis.passes` / `analysis.rows_scanned` counters).
-        let scan = ss_obs::time!(obs, "study.analysis_scan", {
-            StudyScan::compute(
-                &crawler.db,
-                &attribution,
-                monitored.len(),
-                (start + 1, end),
-                cfg.analysis_threads,
-                &obs,
-            )
-        });
+        let scan_frame = obs.span("study.analysis_scan");
+        let scan = StudyScan::compute(
+            &crawler.db,
+            &attribution,
+            monitored.len(),
+            (start + 1, end),
+            cfg.analysis_threads,
+            &obs,
+        );
+        drop(scan_frame);
 
         // Fold the ecosystem's own counters in and assemble the manifest.
         // Post-crawl collection (supplier probes, purchases) may have
@@ -600,7 +578,7 @@ impl Study {
         let stage_names: Vec<&'static str> = self.stages.iter().map(|s| s.name()).collect();
         let measured = calibration_observables(&scan, (start + 1, end));
         if let Some(path) = &cfg.trace_path {
-            manifest::chrome_trace(&obs, &slices, &day_records).write(path);
+            manifest::chrome_trace(&obs, &day_records).write(path);
         }
         let run_manifest = RunManifest {
             config_hash: manifest::config_hash(cfg),
@@ -645,55 +623,21 @@ impl Study {
     }
 }
 
-/// Measures the calibration observables from the shared scan: total PSR
-/// rows, the top-5 attributed campaigns' share of attributed PSRs
-/// (paper: the top 5 account for ~60%), and the mean peak-range duration
-/// across attributed campaigns (the Table 2 mean, paper: 51.3 days).
-/// Mirrors `analysis::ecosystem::{top_k_psr_share, table2}` so the gate
-/// and the report can never silently disagree.
+/// The calibration observables, measured from the shared scan: total
+/// PSR rows, the top-5 attributed campaigns' share of attributed PSRs
+/// (paper: the top 5 account for ~60%), and the Table 2 mean peak-range
+/// duration (paper: 51.3 days). The statistics are the ones the Table 2
+/// and skew reports call, so the gate and the report cannot disagree.
 fn calibration_observables(
     scan: &StudyScan,
     window: (SimDate, SimDate),
 ) -> Vec<(&'static str, f64)> {
-    let attributed: u64 = scan.classes.iter().map(|c| c.psrs).sum();
-    let mut counts: Vec<u64> = scan
-        .classes
-        .iter()
-        .map(|c| c.psrs)
-        .filter(|&n| n > 0)
-        .collect();
-    counts.sort_unstable_by(|a, b| b.cmp(a));
-    let top5 = if attributed == 0 {
-        0.0
-    } else {
-        counts.iter().take(5).sum::<u64>() as f64 / attributed as f64
-    };
-    let (start, end) = window;
-    let mut peak_sum = 0.0;
-    let mut peak_n = 0usize;
-    for c in &scan.classes {
-        let mut s = ss_stats::series::DailySeries::new(start, end);
-        for day in SimDate::range_inclusive(start, end) {
-            s.set(day, 0.0);
-        }
-        for (day, v) in c.daily.observed() {
-            s.add(day, v);
-        }
-        if let Some(p) = ss_stats::peak::peak_range(&s, 0.6) {
-            peak_sum += f64::from(p.days);
-            peak_n += 1;
-        }
-    }
     vec![
         ("total_psrs", scan.rows as f64),
-        ("top5_campaign_share", top5),
+        ("top5_campaign_share", ecosystem::class_top_k_share(scan, 5)),
         (
             "mean_peak_days",
-            if peak_n == 0 {
-                0.0
-            } else {
-                peak_sum / peak_n as f64
-            },
+            ecosystem::mean_peak_days(&ecosystem::class_peak_days(scan, window)),
         ),
     ]
 }

@@ -11,9 +11,9 @@
 //! reports, purchased-store set) hand-encoded here because those types
 //! live in `ss-orders` and their codec belongs to the run container.
 //!
-//! Deliberately *not* captured: wall-clock artifacts. Span timings, the
-//! Chrome-trace timeline, and per-day `elapsed_ms` of days not yet run
-//! are how fast a run went, not what it did — a resumed run reproduces
+//! Deliberately *not* captured: wall-clock artifacts. The registry's wall
+//! rows and timeline, and per-day `elapsed_ms` of days not yet run, are
+//! how fast a run went, not what it did — a resumed run reproduces
 //! every deterministic byte (headline, metrics, fingerprints) while its
 //! wall-clock sections describe only the post-resume half.
 //!
@@ -139,7 +139,7 @@ pub struct RunState {
     /// Monitored term sets per vertical, fixed at crawl start.
     pub monitored: Vec<MonitoredVertical>,
     /// The run's telemetry registry (deterministic half checkpointed;
-    /// span timings are wall-clock and start empty on resume).
+    /// wall rows and the timeline start empty on resume).
     pub obs: Registry,
     /// Per-day progress records accumulated so far.
     pub day_records: Vec<DayRecord>,
@@ -156,10 +156,11 @@ impl RunState {
         world.tick_threads = cfg.tick_threads;
         world.set_trace(cfg.trace_level);
         let start = cfg.crawl_start;
-        let monitored = ss_obs::time!(obs, "study.warmup", {
-            world.run_until(start);
-            ss_crawl::terms::select_all(&world, start, cfg.monitored_terms, cfg.scenario.seed)
-        });
+        let warmup = obs.span("study.warmup");
+        world.run_until(start);
+        let monitored =
+            ss_crawl::terms::select_all(&world, start, cfg.monitored_terms, cfg.scenario.seed);
+        drop(warmup);
         // Term selection probed the engine heavily; drain those queries
         // into the world registry now so a day-0 checkpoint (and every
         // later one) carries fully-settled query-plane counters.

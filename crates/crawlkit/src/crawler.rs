@@ -227,7 +227,7 @@ impl Crawler {
     /// per-vertical fetch/detection/PSR counters and rank histograms,
     /// aggregated from per-worker registries merged in vertical order.
     pub fn crawl_day_metered(&mut self, world: &World, day: SimDate, obs: &Registry) {
-        let _span = obs.span("crawl.day");
+        let _day = obs.span("crawl.day");
         let (compiles_before, hits_before) = self.js_cache.stats();
         let snap = self.snapshot();
         let n = self.monitored.len();

@@ -1,18 +1,22 @@
-//! The cost-model profiler: deterministic work accounting per phase.
+//! The cost-scope frame stack: deterministic work accounting per phase,
+//! and the library's one wall-clock record.
 //!
 //! Wall-clock profiles are noise on shared hardware, so perf regressions
 //! here gate on *countable work* instead: a [`CostScope`] meters the
 //! heap traffic (allocations / bytes / frees, via the counting global
 //! allocator in [`crate::alloc`]) and typed work units ([`WorkKind`])
-//! performed inside a hierarchical phase like `crawl/render`. Scopes
-//! nest exactly like spans — each thread keeps a stack of frames, a
-//! closing frame's inclusive heap delta is credited to its parent, and
-//! the recorded columns are **exclusive** (self) values, so summing any
-//! column over all phases never double-counts.
+//! performed inside a hierarchical phase like `crawl/render`. Each
+//! thread keeps one stack of open frames; a closing frame's inclusive
+//! heap delta is credited to its parent, and the recorded columns are
+//! **exclusive** (self) values, so summing any column over all phases
+//! never double-counts. Every frame also credits its elapsed time to its
+//! parent, so self times split each thread's wall clock across the open
+//! frames with no overlap and nothing uncounted.
 //!
 //! ## Determinism rule
 //!
-//! Two scope flavors encode the determinism contract:
+//! Three frame flavours share the stack and encode the determinism
+//! contract:
 //!
 //! - [`Registry::cost_scope`](crate::Registry::cost_scope) — full
 //!   metering. Only for code that is a *stable parallel unit*: the same
@@ -23,11 +27,19 @@
 //!   and wall time only; the enter and allocation columns stay zero.
 //!   For driver-side code whose entry counts or heap pattern would be
 //!   thread-schedule-dependent.
+//! - [`Registry::span`](crate::Registry::span) — wall time only. A wall
+//!   frame takes no work charge (a [`charge`] goes to the innermost
+//!   non-wall frame) and passes its parent only the heap traffic its
+//!   cost children carved out, so opening or removing one never moves a
+//!   deterministic column. Its row counts closes in `enters` and is
+//!   flagged [`CostStats::wall`]; each close also appends a [`Slice`]
+//!   to the registry's timeline.
 //!
-//! Everything except `total_ns`/`self_ns` is deterministic and appears
-//! in [`Registry::costs_value`](crate::Registry::costs_value) — the
-//! export goldens compare. Wall time is exported separately and never
-//! participates in determinism checks.
+//! Everything except `total_ns`/`self_ns` of the unflagged rows is
+//! deterministic and appears in
+//! [`Registry::costs_value`](crate::Registry::costs_value) — the export
+//! goldens compare. Wall time and wall rows are exported separately and
+//! never participate in determinism checks.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -99,18 +111,20 @@ impl WorkKind {
 /// reproduce the single-threaded profile bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostStats {
-    /// Completed metered scopes (0 for work-only scopes, whose entry
-    /// count may be thread-dependent).
+    /// Completed metered scopes, or closes of a wall row (0 for
+    /// work-only scopes, whose entry count may be thread-dependent).
     pub enters: u64,
     /// Heap allocations performed inside the phase (exclusive of child
-    /// phases; 0 for work-only scopes).
+    /// phases; 0 for work-only scopes and wall rows).
     pub allocs: u64,
     /// Heap bytes requested inside the phase (exclusive; 0 for
-    /// work-only scopes).
+    /// work-only scopes and wall rows).
     pub bytes: u64,
-    /// Heap frees inside the phase (exclusive; 0 for work-only scopes).
+    /// Heap frees inside the phase (exclusive; 0 for work-only scopes
+    /// and wall rows).
     pub frees: u64,
-    /// Work units by [`WorkKind`], charged to the innermost open scope.
+    /// Work units by [`WorkKind`], charged to the innermost open
+    /// non-wall scope.
     pub work: [u64; WorkKind::COUNT],
     /// Wall-clock nanoseconds, inclusive of children. **Not**
     /// deterministic — excluded from goldens.
@@ -118,6 +132,9 @@ pub struct CostStats {
     /// Wall-clock nanoseconds, children subtracted. **Not**
     /// deterministic — excluded from goldens.
     pub self_ns: u64,
+    /// Recorded by a wall frame ([`Registry::span`](crate::Registry::span)):
+    /// the row is left out of the deterministic exports and snapshots.
+    pub wall: bool,
 }
 
 impl Default for CostStats {
@@ -130,6 +147,7 @@ impl Default for CostStats {
             work: [0; WorkKind::COUNT],
             total_ns: 0,
             self_ns: 0,
+            wall: false,
         }
     }
 }
@@ -147,6 +165,7 @@ impl CostStats {
         }
         self.total_ns = self.total_ns.saturating_add(other.total_ns);
         self.self_ns = self.self_ns.saturating_add(other.self_ns);
+        self.wall |= other.wall;
     }
 
     /// Sum of every work-unit column.
@@ -155,38 +174,61 @@ impl CostStats {
     }
 }
 
+/// One closed wall frame on the registry's timeline. Microseconds since
+/// the process's first wall frame opened; never compared across runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slice {
+    /// The frame's path (`study.day`, `stage.crawl`, …).
+    pub path: &'static str,
+    /// Start, in microseconds since the timeline origin.
+    pub start_us: u64,
+    /// Duration in microseconds.
+    pub dur_us: u64,
+}
+
+/// What a frame records when it closes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameKind {
+    /// Enters, exclusive heap traffic, work units and wall time.
+    Metered,
+    /// Work units and wall time.
+    Work,
+    /// Wall time only.
+    Wall,
+}
+
 /// One open scope on this thread's stack.
 struct Frame {
-    metered: bool,
+    kind: FrameKind,
     /// Thread allocation counters at entry.
     allocs0: u64,
     bytes0: u64,
     frees0: u64,
-    /// Inclusive heap traffic of already-closed children (subtracted to
-    /// make the recorded columns exclusive).
+    /// Inclusive heap traffic of already-closed cost children (subtracted
+    /// to make the recorded columns exclusive).
     child_allocs: u64,
     child_bytes: u64,
     child_frees: u64,
     /// Elapsed nanoseconds of already-closed children.
     child_ns: u64,
-    /// Work units charged while this frame was innermost.
+    /// Work units charged while this frame was the innermost non-wall one.
     work: [u64; WorkKind::COUNT],
 }
 
 thread_local! {
-    /// Per-thread stack of open cost frames.
+    /// Per-thread stack of open frames.
     static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Pushes a fresh frame, snapshotting the thread's allocation counters.
-pub(crate) fn enter_frame(metered: bool) {
+pub(crate) fn enter_frame(kind: FrameKind) {
     // The push itself (and any Vec growth) must not count against the
     // enclosing scope.
     let _p = pause_metering();
     let (a, b, f) = thread_alloc_counts();
     FRAMES.with(|fr| {
         fr.borrow_mut().push(Frame {
-            metered,
+            kind,
             allocs0: a,
             bytes0: b,
             frees0: f,
@@ -200,8 +242,9 @@ pub(crate) fn enter_frame(metered: bool) {
 }
 
 /// Pops the innermost frame and returns its recorded [`CostStats`]
-/// delta, crediting its inclusive heap traffic and elapsed time to the
-/// parent frame. Returns zeros when no frame is open.
+/// delta, crediting its elapsed time to the parent frame together with
+/// its inclusive heap traffic (a wall frame passes on only what its cost
+/// children carved out). Returns zeros when no frame is open.
 pub(crate) fn exit_frame(elapsed_ns: u64) -> CostStats {
     let _p = pause_metering();
     let (a, b, f) = thread_alloc_counts();
@@ -210,9 +253,16 @@ pub(crate) fn exit_frame(elapsed_ns: u64) -> CostStats {
         let Some(frame) = frames.pop() else {
             return CostStats::default();
         };
-        let incl_allocs = a.saturating_sub(frame.allocs0);
-        let incl_bytes = b.saturating_sub(frame.bytes0);
-        let incl_frees = f.saturating_sub(frame.frees0);
+        let wall = frame.kind == FrameKind::Wall;
+        let (incl_allocs, incl_bytes, incl_frees) = if wall {
+            (frame.child_allocs, frame.child_bytes, frame.child_frees)
+        } else {
+            (
+                a.saturating_sub(frame.allocs0),
+                b.saturating_sub(frame.bytes0),
+                f.saturating_sub(frame.frees0),
+            )
+        };
         if let Some(parent) = frames.last_mut() {
             parent.child_allocs = parent.child_allocs.saturating_add(incl_allocs);
             parent.child_bytes = parent.child_bytes.saturating_add(incl_bytes);
@@ -220,13 +270,14 @@ pub(crate) fn exit_frame(elapsed_ns: u64) -> CostStats {
             parent.child_ns = parent.child_ns.saturating_add(elapsed_ns);
         }
         let mut stats = CostStats {
+            enters: u64::from(frame.kind != FrameKind::Work),
             work: frame.work,
             total_ns: elapsed_ns,
             self_ns: elapsed_ns.saturating_sub(frame.child_ns),
+            wall,
             ..CostStats::default()
         };
-        if frame.metered {
-            stats.enters = 1;
+        if frame.kind == FrameKind::Metered {
             stats.allocs = incl_allocs.saturating_sub(frame.child_allocs);
             stats.bytes = incl_bytes.saturating_sub(frame.child_bytes);
             stats.frees = incl_frees.saturating_sub(frame.child_frees);
@@ -235,20 +286,26 @@ pub(crate) fn exit_frame(elapsed_ns: u64) -> CostStats {
     })
 }
 
-/// Charges `n` work units of `kind` to the innermost open scope on this
-/// thread. Silently a no-op when no scope is open, so library code can
-/// charge unconditionally.
+/// Charges `n` work units of `kind` to the innermost open non-wall scope
+/// on this thread. Silently a no-op when none is open, so library code
+/// can charge unconditionally.
 pub fn charge(kind: WorkKind, n: u64) {
     let _ = FRAMES.try_with(|fr| {
-        if let Some(frame) = fr.borrow_mut().last_mut() {
+        let mut frames = fr.borrow_mut();
+        if let Some(frame) = frames.iter_mut().rev().find(|f| f.kind != FrameKind::Wall) {
             frame.work[kind as usize] = frame.work[kind as usize].saturating_add(n);
         }
     });
 }
 
-/// RAII cost scope opened by [`Registry::cost_scope`](crate::Registry::cost_scope)
-/// or [`Registry::work_scope`](crate::Registry::work_scope); records the
-/// phase's cost delta under its path when dropped.
+/// The timeline origin: the start of the process's first wall frame, so
+/// slices from every registry (and merged registries) share one axis.
+static ORIGIN: OnceLock<Instant> = OnceLock::new();
+
+/// RAII frame opened by [`Registry::cost_scope`](crate::Registry::cost_scope),
+/// [`Registry::work_scope`](crate::Registry::work_scope) or
+/// [`Registry::span`](crate::Registry::span); records the phase's delta
+/// under its path when dropped or [finished](CostScope::finish).
 #[must_use = "a cost scope meters the region it is bound to; binding it to _ drops it immediately"]
 pub struct CostScope<'a> {
     registry: &'a Registry,
@@ -257,20 +314,47 @@ pub struct CostScope<'a> {
 }
 
 impl<'a> CostScope<'a> {
-    pub(crate) fn new(registry: &'a Registry, path: &'static str, metered: bool) -> Self {
-        enter_frame(metered);
+    pub(crate) fn new(registry: &'a Registry, path: &'static str, kind: FrameKind) -> Self {
+        enter_frame(kind);
+        let start = Instant::now();
+        if kind == FrameKind::Wall {
+            ORIGIN.get_or_init(|| start);
+        }
         CostScope {
             registry,
             path,
-            start: Instant::now(),
+            start,
         }
+    }
+
+    /// Closes the scope now and returns its elapsed nanoseconds.
+    pub fn finish(self) -> u64 {
+        std::mem::ManuallyDrop::new(self).close()
+    }
+
+    fn close(&self) -> u64 {
+        let elapsed = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let stats = exit_frame(elapsed);
+        if stats.wall {
+            let origin = *ORIGIN.get_or_init(|| self.start);
+            let start_ns = self.start.saturating_duration_since(origin).as_nanos() as u64;
+            // Both ends round down, so a child's slice never pokes out of
+            // its parent's.
+            let start_us = start_ns / 1_000;
+            self.registry.record_slice(Slice {
+                path: self.path,
+                start_us,
+                dur_us: start_ns.saturating_add(elapsed) / 1_000 - start_us,
+            });
+        }
+        self.registry.record_cost(self.path, stats);
+        elapsed
     }
 }
 
 impl Drop for CostScope<'_> {
     fn drop(&mut self) {
-        let elapsed = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.registry.cost_exit(self.path, elapsed);
+        self.close();
     }
 }
 
@@ -340,7 +424,8 @@ fn build_tree(costs: &[(&'static str, CostStats)]) -> Node {
 /// Renders the hierarchical phase tree as an aligned text table:
 /// deterministic columns (enters, allocs, bytes, frees, work units)
 /// followed by wall-clock self/total milliseconds. Implicit parent rows
-/// show their subtree's sums.
+/// show their subtree's sums; wall rows (`study.day`, `stage.*`, …) show
+/// their closes under `enters` and zeros in the heap and work columns.
 pub fn render_tree(registry: &Registry) -> String {
     let costs = registry.costs();
     if costs.is_empty() {
@@ -389,16 +474,17 @@ pub fn render_tree(registry: &Registry) -> String {
 }
 
 /// Collapsed-stack ("folded") flamegraph lines weighted by wall-clock
-/// self time in microseconds — one `a;b;c weight` line per phase, ready
-/// for `flamegraph.pl` / speedscope. Wall-clock: not comparable across
-/// runs.
+/// self time in microseconds — one `a;b;c weight` line per phase, wall
+/// rows included, ready for `flamegraph.pl` / speedscope. Wall-clock:
+/// not comparable across runs.
 pub fn folded_wall(registry: &Registry) -> String {
     folded_by(registry, |s| s.self_ns / 1_000)
 }
 
 /// Collapsed-stack flamegraph lines weighted by deterministic cost —
 /// exclusive allocations plus work units — so two runs of the same
-/// program produce byte-identical output at any thread count.
+/// program produce byte-identical output at any thread count. Wall rows
+/// weigh zero and drop out.
 pub fn folded_cost(registry: &Registry) -> String {
     folded_by(registry, |s| s.allocs.saturating_add(s.work_total()))
 }

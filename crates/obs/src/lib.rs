@@ -3,22 +3,26 @@
 //! Zero-dependency telemetry for the study pipeline: a thread-safe
 //! [`Registry`] of named [`Counter`](Registry::count)s, log-scale
 //! [`Histogram`]s (fixed power-of-two buckets with `p50`/`p95`/`max`),
-//! and RAII [`SpanTimer`]s with exclusive-time accounting — plus label
+//! and one per-thread frame stack ([`CostScope`]) that meters phase
+//! costs and is the library's only wall-clock record — plus label
 //! support (`crawl.psr{vertical=Uggs}`), a macro-lite recording API
-//! ([`count!`], [`observe!`], [`time!`]), registry merging, and JSON
-//! export through the vendored `serde_json`.
+//! ([`count!`], [`observe!`]), registry merging, and JSON export
+//! through the vendored `serde_json`.
 //!
 //! ## Determinism contract
 //!
-//! The registry is split into a **deterministic half** (counters and
-//! histograms — pure integer aggregates of what the program *did*) and a
-//! **wall-clock half** (span timings). [`Registry::merge_from`] on the
+//! The registry is split into a **deterministic half** (counters,
+//! histograms and the cost rows' work and heap columns — pure integer
+//! aggregates of what the program *did*) and a **wall-clock half** (the
+//! rows' nanosecond fields, the wall rows [`Registry::span`] records,
+//! and the [`Registry::timeline`]). [`Registry::merge_from`] on the
 //! deterministic half is associative and commutative, so per-worker
 //! registries merged in any fixed order reproduce the single-threaded
-//! registry bit-for-bit; [`Registry::metrics_json`] exports only that
-//! half and is the string thread-matrix tests compare. Span timings are
-//! exported separately ([`Registry::spans_value`]) and never participate
-//! in determinism checks.
+//! registry bit-for-bit; [`Registry::metrics_json`] and
+//! [`Registry::costs_json`] export only that half and are the strings
+//! thread-matrix tests compare. Wall time is exported separately
+//! ([`Registry::cost_timings_value`]) and never participates in
+//! determinism checks.
 //!
 //! ## Usage
 //!
@@ -29,11 +33,13 @@
 //! ss_obs::count!(reg, "crawl.fetch");
 //! ss_obs::count!(reg, "crawl.fetch", 2, vertical = "Uggs");
 //! ss_obs::observe!(reg, "crawl.psr_rank", 7);
-//! let answer = ss_obs::time!(reg, "stage.crawl", { 6 * 7 });
-//! assert_eq!(answer, 42);
+//! let stage = reg.span("stage.crawl");
+//! let elapsed_ns = stage.finish();
 //! assert_eq!(reg.counter_total("crawl.fetch"), 3);
 //! assert_eq!(reg.counter("crawl.fetch{vertical=Uggs}"), 2);
-//! assert_eq!(reg.span_stats("stage.crawl").unwrap().count, 1);
+//! let row = reg.cost_stats("stage.crawl").unwrap();
+//! assert_eq!((row.enters, row.total_ns, row.wall), (1, elapsed_ns, true));
+//! assert_eq!(reg.timeline()[0].path, "stage.crawl");
 //! ```
 
 #![deny(unsafe_code)] // `allow`ed only for the counting global allocator.
@@ -43,14 +49,14 @@ mod alloc;
 mod cost;
 mod histogram;
 mod registry;
-mod span;
 mod trace;
 
 pub use crate::alloc::{pause_metering, thread_alloc_counts, CountingAlloc, MeterPause};
-pub use cost::{charge, folded_cost, folded_wall, render_tree, CostScope, CostStats, WorkKind};
+pub use cost::{
+    charge, folded_cost, folded_wall, render_tree, CostScope, CostStats, Slice, WorkKind,
+};
 pub use histogram::{Histogram, BUCKETS};
 pub use registry::{MetricKey, Registry};
-pub use span::{SpanStats, SpanTimer};
 pub use trace::{ChromeTrace, FlightRecorder, TraceEvent, TraceLevel};
 
 /// A rendered metric label value — borrowed when the source type already
@@ -150,16 +156,6 @@ macro_rules! observe {
     }};
 }
 
-/// Times an expression under a span name and evaluates to its value:
-/// `let x = time!(reg, "stage.crawl", { expensive() });`.
-#[macro_export]
-macro_rules! time {
-    ($reg:expr, $name:expr, $body:expr) => {{
-        let _obs_span_guard = $reg.span($name);
-        $body
-    }};
-}
-
 /// Records a per-entity [`TraceEvent`] into a [`FlightRecorder`]:
 /// `trace!(rec, day_index, "stage.crawl", domain_id, "psr rank={rank}")`.
 ///
@@ -189,6 +185,13 @@ mod tests {
         assert_eq!(reg.metric_names(), vec!["m{a=1,b=2}".to_owned()]);
     }
 
+    /// Opens and closes one wall frame under `path` with a synthetic
+    /// duration (the clock-free half of [`Registry::span`]).
+    fn wall_frame(reg: &Registry, path: &'static str, elapsed_ns: u64) {
+        cost::enter_frame(cost::FrameKind::Wall);
+        reg.cost_exit(path, elapsed_ns);
+    }
+
     #[test]
     fn merge_folds_counters_histograms_and_spans() {
         let a = Registry::new();
@@ -197,25 +200,43 @@ mod tests {
         b.count("c", 3);
         a.observe("h", 10);
         b.observe("h", 20);
-        a.span_enter();
-        a.span_exit("s", 100);
-        b.span_enter();
-        b.span_exit("s", 50);
+        wall_frame(&a, "s", 100);
+        wall_frame(&b, "s", 50);
+        drop(b.span("t"));
         a.merge_from(&b);
         assert_eq!(a.counter("c"), 5);
         assert_eq!(a.histogram("h").unwrap().count(), 2);
-        let s = a.span_stats("s").unwrap();
-        assert_eq!((s.count, s.total_ns, s.max_ns), (2, 150, 100));
+        let s = a.cost_stats("s").unwrap();
+        assert_eq!(
+            (s.enters, s.total_ns, s.self_ns, s.wall),
+            (2, 150, 150, true)
+        );
+        // The other registry's timeline is appended to this one's.
+        let paths: Vec<&str> = a.timeline().iter().map(|s| s.path).collect();
+        assert_eq!(paths, ["t"]);
     }
 
     #[test]
-    fn metrics_json_excludes_spans_to_json_includes_them() {
+    fn wall_rows_stay_out_of_the_deterministic_exports() {
+        use ss_types::snapshot::Snapshot;
         let reg = Registry::new();
         reg.count("c", 1);
-        let _t = reg.span("wall");
-        drop(_t);
-        assert!(!reg.metrics_json().contains("wall"));
-        assert!(reg.to_json().contains("wall"));
+        {
+            let _wall = reg.span("study.wall");
+            let _scope = reg.cost_scope("t/phase");
+        }
+        assert!(!reg.metrics_json().contains("study.wall"));
+        assert!(!reg.costs_json().contains("study.wall"));
+        assert!(reg.costs_json().contains("t/phase"));
+        let restored = Registry::decode(&reg.encode()).expect("registry round-trips");
+        assert_eq!(restored.cost_stats("study.wall"), None);
+        assert!(restored.timeline().is_empty());
+        assert_eq!(restored.costs_json(), reg.costs_json());
+        assert!(serde_json::to_string(&reg.cost_timings_value())
+            .expect("renders")
+            .contains("study.wall"));
+        let paths: Vec<&str> = reg.timeline().iter().map(|s| s.path).collect();
+        assert_eq!(paths, ["study.wall"]);
     }
 
     #[test]
@@ -242,15 +263,22 @@ mod tests {
             let _outer = reg.span("outer");
             let _inner = reg.span("inner");
         }
-        let outer = reg.span_stats("outer").unwrap();
-        let inner = reg.span_stats("inner").unwrap();
-        assert_eq!(outer.count, 1);
-        assert_eq!(inner.count, 1);
+        let outer = reg.cost_stats("outer").unwrap();
+        let inner = reg.cost_stats("inner").unwrap();
+        assert_eq!(outer.enters, 1);
+        assert_eq!(inner.enters, 1);
         // The child's full elapsed time was carved out of the parent.
         assert!(outer.total_ns >= inner.total_ns);
         assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
         // The child had no children: all its time is self time.
         assert_eq!(inner.self_ns, inner.total_ns);
+        // The timeline lists the child first (close order), inside its
+        // parent's slice.
+        let [i, o] = reg.timeline()[..] else {
+            panic!("two slices expected")
+        };
+        assert_eq!((i.path, o.path), ("inner", "outer"));
+        assert!(o.start_us <= i.start_us && i.start_us + i.dur_us <= o.start_us + o.dur_us);
     }
 
     /// Replays a generated sequence of counter increments split across
@@ -316,11 +344,6 @@ mod tests {
             assert_eq!(direct.histogram("h"), fwd.histogram("h"));
         }
 
-        /// Span nesting never double-counts: for any well-formed nesting
-        /// replayed through `span_enter`/`span_exit` with synthetic
-        /// durations, the exclusive (self) times across all spans sum
-        /// exactly to the root spans' total elapsed time — every
-        /// nanosecond attributed once, none twice.
         /// Cost-row merge is associative and commutative: synthetic
         /// per-phase deltas scattered across worker registries and
         /// folded in different groupings always equal direct recording.
@@ -359,32 +382,42 @@ mod tests {
             assert_eq!(direct.costs_json(), right.costs_json());
         }
 
+        /// Frame nesting never double-counts: for any well-formed nesting
+        /// of metered, work and wall frames replayed with synthetic
+        /// durations, the exclusive (self) times across all rows sum
+        /// exactly to the root frames' total elapsed time — every
+        /// nanosecond attributed once, none twice, whatever the kind.
         #[test]
-        fn span_nesting_never_double_counts(
+        fn frame_nesting_never_double_counts(
             shape in proptest::collection::vec((0u8..3, 0u8..2, 1u64..1_000_000), 1..32)
         ) {
+            const KINDS: [(cost::FrameKind, &str); 3] = [
+                (cost::FrameKind::Metered, "p/metered"),
+                (cost::FrameKind::Work, "p/work"),
+                (cost::FrameKind::Wall, "p.wall"),
+            ];
             let reg = Registry::new();
-            // Shadow stack mirroring the registry's frames: each open span
+            // Shadow stack mirroring the registry's frames: each open frame
             // carries its own exclusive work `own` and accumulates its
             // children's elapsed time, exactly like a real timed region.
-            let mut shadow: Vec<(String, u64, u64)> = Vec::new(); // (name, own, child)
+            let mut shadow: Vec<(&'static str, u64, u64)> = Vec::new(); // (path, own, child)
             let mut roots_elapsed = 0u64;
             let mut own_work_total = 0u64;
             let close_innermost = |reg: &Registry,
-                                       shadow: &mut Vec<(String, u64, u64)>,
-                                       roots: &mut u64| {
-                let Some((name, own, child)) = shadow.pop() else { return };
+                                   shadow: &mut Vec<(&'static str, u64, u64)>,
+                                   roots: &mut u64| {
+                let Some((path, own, child)) = shadow.pop() else { return };
                 let elapsed = own + child;
-                reg.span_exit(&name, elapsed);
+                reg.cost_exit(path, elapsed);
                 match shadow.last_mut() {
                     Some(parent) => parent.2 += elapsed,
                     None => *roots += elapsed,
                 }
             };
             for (kind, close_after, dur) in &shape {
-                let name = format!("s{kind}");
-                reg.span_enter();
-                shadow.push((name, *dur, 0));
+                let (kind, path) = KINDS[*kind as usize];
+                cost::enter_frame(kind);
+                shadow.push((path, *dur, 0));
                 own_work_total += *dur;
                 if *close_after == 1 {
                     close_innermost(&reg, &mut shadow, &mut roots_elapsed);
@@ -393,13 +426,13 @@ mod tests {
             while !shadow.is_empty() {
                 close_innermost(&reg, &mut shadow, &mut roots_elapsed);
             }
-            let sum_self: u64 = reg.spans().iter().map(|(_, s)| s.self_ns).sum();
+            let sum_self: u64 = reg.costs().iter().map(|(_, s)| s.self_ns).sum();
             // Exclusive times partition the root elapsed exactly: nothing
             // double-counted (sum equals the work actually performed),
             // nothing lost (it also equals the roots' elapsed total).
-            // Note `total_ns` is *inclusive* and aggregates per name, so
-            // it can legitimately exceed the roots' elapsed when a span
-            // nests inside a same-named span; only self time partitions.
+            // Note `total_ns` is *inclusive* and aggregates per path, so
+            // it can legitimately exceed the roots' elapsed when a frame
+            // nests inside a same-path frame; only self time partitions.
             assert_eq!(sum_self, roots_elapsed);
             assert_eq!(sum_self, own_work_total);
         }
@@ -459,6 +492,64 @@ mod cost_tests {
         let reg = Registry::new();
         charge(WorkKind::PsrRowsScanned, 100);
         assert!(reg.costs().is_empty());
+    }
+
+    /// Runs the same metered and work scopes, with wall frames between
+    /// them when `walls` is set: allocations and charges made while a
+    /// wall frame is innermost, a cost child under a wall frame, a wall
+    /// frame under a work scope, and a charge with only a wall frame open.
+    fn scripted_scopes(reg: &Registry, walls: bool) {
+        let wall = |path| walls.then(|| reg.span(path));
+        let outer = wall("t.outer");
+        {
+            let _metered = reg.cost_scope("t/metered");
+            let a: Vec<u8> = Vec::with_capacity(64);
+            let inner = wall("t.inner");
+            let b: Vec<u8> = Vec::with_capacity(128);
+            charge(WorkKind::DocsFetched, 2);
+            {
+                let _child = reg.cost_scope("t/metered/child");
+                let c: Vec<u8> = Vec::with_capacity(32);
+                charge(WorkKind::JsVmSteps, 3);
+                drop(c);
+            }
+            drop(inner);
+            {
+                let _work = reg.work_scope("t/work");
+                let deep = wall("t.deep");
+                charge(WorkKind::EventsPlanned, 5);
+                drop(deep);
+            }
+            drop((a, b));
+        }
+        charge(WorkKind::PsrRowsScanned, 7);
+        drop(outer);
+    }
+
+    #[test]
+    fn wall_frames_leave_cost_columns_untouched() {
+        let without = Registry::new();
+        scripted_scopes(&without, false);
+        let with = Registry::new();
+        scripted_scopes(&with, true);
+        assert_eq!(with.costs_json(), without.costs_json());
+        // The allocation made while `t.inner` was innermost stays with
+        // the enclosing metered scope; only the cost child is carved out.
+        let m = with.cost_stats("t/metered").unwrap();
+        assert_eq!((m.allocs, m.bytes), (2, 64 + 128));
+        assert_eq!(m.work[WorkKind::DocsFetched as usize], 2);
+        // Wall rows take no charge, so the charge made with only
+        // `t.outer` open was dropped.
+        let walls: Vec<_> = with.costs().into_iter().filter(|(_, s)| s.wall).collect();
+        assert_eq!(walls.len(), 3);
+        for (path, s) in &walls {
+            assert_eq!(
+                (s.enters, s.allocs, s.bytes, s.frees, s.work_total()),
+                (1, 0, 0, 0, 0),
+                "{path}"
+            );
+        }
+        assert!(!with.costs_json().contains("psr_rows_scanned"));
     }
 
     /// The crawl-plane merge pattern: per-item registries, items

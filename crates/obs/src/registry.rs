@@ -1,5 +1,5 @@
-//! The metric registry: named counters, histograms, span aggregates,
-//! and per-phase cost rows.
+//! The metric registry: named counters, histograms, per-phase cost rows
+//! (wall rows among them), and the wall-frame timeline.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -8,9 +8,8 @@ use std::sync::Mutex;
 use serde::Value;
 use ss_types::snapshot::{Reader, Snapshot, SnapshotError, Writer};
 
-use crate::cost::{self, CostScope, CostStats, WorkKind};
+use crate::cost::{self, CostScope, CostStats, FrameKind, Slice, WorkKind};
 use crate::histogram::Histogram;
-use crate::span::{self, SpanStats, SpanTimer};
 
 /// A metric identity: a name plus an ordered set of label pairs.
 ///
@@ -202,23 +201,23 @@ impl<V: Default> Bank<V> {
     }
 }
 
-/// A thread-safe registry of counters, histograms, span timings, and
-/// per-phase cost rows.
+/// A thread-safe registry of counters, histograms, per-phase cost rows,
+/// and the wall-frame timeline.
 ///
 /// All mutation goes through `&self`, so a registry can be shared freely
 /// across stages and threads. Counters, histograms, and the
 /// deterministic cost columns are pure integer aggregates:
 /// [`Registry::merge_from`] is associative and commutative, and the
 /// deterministic exports ([`Registry::metrics_json`],
-/// [`Registry::costs_json`]) contain only them — span timings and the
-/// cost rows' wall-clock fields live in separate sections so run-to-run
-/// comparisons stay bit-stable.
+/// [`Registry::costs_json`]) contain only them — wall rows, the cost
+/// rows' wall-clock fields and the timeline live in separate
+/// projections so run-to-run comparisons stay bit-stable.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<Bank<u64>>,
     histograms: Mutex<Bank<Histogram>>,
-    spans: Mutex<BTreeMap<String, SpanStats>>,
     costs: Mutex<BTreeMap<&'static str, CostStats>>,
+    timeline: Mutex<Vec<Slice>>,
 }
 
 impl Registry {
@@ -285,50 +284,6 @@ impl Registry {
         found
     }
 
-    // ---- spans ----
-
-    /// Opens a wall-clock span; it records itself under `name` when the
-    /// returned guard drops. Spans opened while another span is live on
-    /// the same thread count as its children for self-time accounting.
-    pub fn span(&self, name: &str) -> SpanTimer<'_> {
-        SpanTimer::new(self, name)
-    }
-
-    /// Manually opens a span frame (the testable half of [`Registry::span`]).
-    /// Every `span_enter` must be paired with exactly one [`Registry::span_exit`]
-    /// on the same thread, in LIFO order.
-    pub fn span_enter(&self) {
-        span::enter_frame();
-    }
-
-    /// Manually closes the innermost span frame as `name` with a caller-
-    /// supplied duration. Records count/total/max and exclusive self time
-    /// (children's elapsed subtracted), and credits `elapsed_ns` to the
-    /// parent frame.
-    pub fn span_exit(&self, name: &str, elapsed_ns: u64) {
-        let child_ns = span::exit_frame(elapsed_ns);
-        let mut spans = self.spans.lock().expect("obs spans poisoned");
-        let stats = spans.entry(name.to_owned()).or_default();
-        stats.count += 1;
-        stats.total_ns = stats.total_ns.saturating_add(elapsed_ns);
-        stats.self_ns = stats
-            .self_ns
-            .saturating_add(elapsed_ns.saturating_sub(child_ns));
-        stats.max_ns = stats.max_ns.max(elapsed_ns);
-    }
-
-    /// Aggregate for one span name.
-    pub fn span_stats(&self, name: &str) -> Option<SpanStats> {
-        let spans = self.spans.lock().expect("obs spans poisoned");
-        spans.get(name).copied()
-    }
-
-    /// All span aggregates, sorted by name.
-    pub fn spans(&self) -> Vec<(String, SpanStats)> {
-        let spans = self.spans.lock().expect("obs spans poisoned");
-        spans.iter().map(|(k, v)| (k.clone(), *v)).collect()
-    }
-
     // ---- costs ----
 
     /// Opens a fully-metered cost scope under the hierarchical `path`
@@ -338,21 +293,36 @@ impl Registry {
     /// the same work lands in the same scope regardless of thread count;
     /// driver-side phases use [`Registry::work_scope`] instead.
     pub fn cost_scope(&self, path: &'static str) -> CostScope<'_> {
-        CostScope::new(self, path, true)
+        CostScope::new(self, path, FrameKind::Metered)
     }
 
     /// Opens a work-only cost scope: work units and wall time record,
     /// but the enter and allocation columns stay zero. For phases whose
     /// entry counts or heap pattern would be thread-schedule-dependent.
     pub fn work_scope(&self, path: &'static str) -> CostScope<'_> {
-        CostScope::new(self, path, false)
+        CostScope::new(self, path, FrameKind::Work)
+    }
+
+    /// Opens a wall frame under the dotted `path` (`"study.day"`,
+    /// `"stage.crawl"`): wall time only, on the same frame stack as the
+    /// cost scopes. Work charged while it is innermost goes to the
+    /// nearest enclosing cost scope, so it never moves a deterministic
+    /// column. Its row (closes in `enters`, total and self time) is
+    /// flagged [`CostStats::wall`], and each close appends a [`Slice`] to
+    /// [`Registry::timeline`].
+    pub fn span(&self, path: &'static str) -> CostScope<'_> {
+        CostScope::new(self, path, FrameKind::Wall)
     }
 
     /// Manually opens a cost frame (the testable half of
     /// [`Registry::cost_scope`] / [`Registry::work_scope`]). Pair with
     /// exactly one [`Registry::cost_exit`] on the same thread, LIFO.
     pub fn cost_enter(&self, metered: bool) {
-        cost::enter_frame(metered);
+        cost::enter_frame(if metered {
+            FrameKind::Metered
+        } else {
+            FrameKind::Work
+        });
     }
 
     /// Manually closes the innermost cost frame under `path` with a
@@ -393,18 +363,33 @@ impl Registry {
         costs.get(path).copied()
     }
 
-    /// All phase rows, sorted by path.
+    /// All phase rows, wall rows included, sorted by path.
     pub fn costs(&self) -> Vec<(&'static str, CostStats)> {
         let costs = self.costs.lock().expect("obs costs poisoned");
         costs.iter().map(|(k, v)| (*k, *v)).collect()
+    }
+
+    /// Appends one closed wall frame to the timeline.
+    pub(crate) fn record_slice(&self, slice: Slice) {
+        let _p = crate::alloc::pause_metering();
+        self.timeline
+            .lock()
+            .expect("obs timeline poisoned")
+            .push(slice);
+    }
+
+    /// Every closed wall frame, in close order (a parent after its
+    /// children). Wall-clock and per-process: never snapshotted.
+    pub fn timeline(&self) -> Vec<Slice> {
+        self.timeline.lock().expect("obs timeline poisoned").clone()
     }
 
     // ---- merge ----
 
     /// Folds another registry's contents into this one. Counter,
     /// histogram, and cost merging is integer addition, so any merge
-    /// order or grouping produces the identical registry; span
-    /// aggregates merge the same way on their nanosecond totals.
+    /// order or grouping produces the identical registry; the other
+    /// registry's timeline is appended to this one's.
     pub fn merge_from(&self, other: &Registry) {
         {
             let theirs = other.counters.lock().expect("obs counters poisoned");
@@ -421,19 +406,17 @@ impl Registry {
             }
         }
         {
-            let theirs = other.spans.lock().expect("obs spans poisoned");
-            let mut ours = self.spans.lock().expect("obs spans poisoned");
-            for (k, s) in theirs.iter() {
-                ours.entry(k.clone()).or_default().merge(s);
-            }
-        }
-        {
             let theirs = other.costs.lock().expect("obs costs poisoned");
             let mut ours = self.costs.lock().expect("obs costs poisoned");
             for (path, s) in theirs.iter() {
                 ours.entry(path).or_default().merge(s);
             }
         }
+        let theirs = other.timeline();
+        self.timeline
+            .lock()
+            .expect("obs timeline poisoned")
+            .extend(theirs);
     }
 
     /// Rendered keys of every counter and histogram, sorted.
@@ -454,7 +437,7 @@ impl Registry {
     /// The deterministic half of the registry — counters and histograms,
     /// sorted by rendered key — as a JSON value tree. Two runs of the
     /// same deterministic program produce byte-identical output here, at
-    /// any thread count; wall-clock spans are deliberately excluded.
+    /// any thread count; wall-clock rows are deliberately excluded.
     pub fn metrics_value(&self) -> Value {
         let counters = self.counters.lock().expect("obs counters poisoned");
         let hists = self.histograms.lock().expect("obs histograms poisoned");
@@ -493,44 +476,16 @@ impl Registry {
         ])
     }
 
-    /// Span timings as a JSON value tree (milliseconds, wall-clock — not
-    /// comparable across runs; see [`Registry::metrics_value`]).
-    pub fn spans_value(&self) -> Value {
-        let spans = self.spans.lock().expect("obs spans poisoned");
-        let map = spans
-            .iter()
-            .map(|(name, s)| {
-                (
-                    name.clone(),
-                    Value::Map(vec![
-                        ("count".into(), Value::UInt(s.count)),
-                        ("total_ms".into(), Value::Float(ns_to_ms(s.total_ns))),
-                        ("self_ms".into(), Value::Float(ns_to_ms(s.self_ns))),
-                        ("max_ms".into(), Value::Float(ns_to_ms(s.max_ns))),
-                        (
-                            "mean_ms".into(),
-                            Value::Float(if s.count == 0 {
-                                0.0
-                            } else {
-                                ns_to_ms(s.total_ns) / s.count as f64
-                            }),
-                        ),
-                    ]),
-                )
-            })
-            .collect();
-        Value::Map(map)
-    }
-
     /// The deterministic columns of every phase row — enters, allocs,
     /// bytes, frees, and nonzero work units, sorted by path — as a JSON
     /// value tree. Byte-identical across runs and thread counts of a
-    /// deterministic program; the wall-clock fields live in
+    /// deterministic program; wall rows and the wall-clock fields live in
     /// [`Registry::cost_timings_value`].
     pub fn costs_value(&self) -> Value {
         let costs = self.costs.lock().expect("obs costs poisoned");
         let map = costs
             .iter()
+            .filter(|(_, s)| !s.wall)
             .map(|(path, s)| {
                 let work: Vec<(String, Value)> = WorkKind::ALL
                     .iter()
@@ -552,8 +507,9 @@ impl Registry {
         Value::Map(map)
     }
 
-    /// The wall-clock columns of every phase row (milliseconds — not
-    /// comparable across runs; see [`Registry::costs_value`]).
+    /// The wall-clock columns of every phase row, wall rows included
+    /// (milliseconds — not comparable across runs; see
+    /// [`Registry::costs_value`]).
     pub fn cost_timings_value(&self) -> Value {
         let costs = self.costs.lock().expect("obs costs poisoned");
         let map = costs
@@ -584,15 +540,6 @@ impl Registry {
     pub fn costs_json(&self) -> String {
         serde_json::to_string_pretty(&self.costs_value()).expect("value tree renders")
     }
-
-    /// Full registry — metrics plus wall-clock spans — as pretty JSON.
-    pub fn to_json(&self) -> String {
-        let Value::Map(mut root) = self.metrics_value() else {
-            unreachable!("metrics are a map")
-        };
-        root.push(("spans".into(), self.spans_value()));
-        serde_json::to_string_pretty(&Value::Map(root)).expect("value tree renders")
-    }
 }
 
 fn write_key(w: &mut Writer, k: &MetricKey) {
@@ -614,11 +561,12 @@ impl Snapshot for Registry {
     const VERSION: u16 = 2;
 
     /// Serializes the deterministic half of the registry: counters,
-    /// histograms, and the deterministic cost columns, in key order.
-    /// Span aggregates and the cost rows' nanosecond fields are
-    /// wall-clock measurements of *this* process and are deliberately
-    /// not captured — a restored registry starts those at zero, exactly
-    /// as the manifest's deterministic projection expects. The cost rows
+    /// histograms, and the deterministic columns of the unflagged cost
+    /// rows, in key order. Wall rows, the timeline and the cost rows'
+    /// nanosecond fields are wall-clock measurements of *this* process
+    /// and are deliberately not captured — a restored registry starts
+    /// those empty, exactly as the manifest's deterministic projection
+    /// expects. The cost rows
     /// *must* round-trip: a resumed run continues accumulating phase
     /// costs from the checkpointed totals, so the final profile matches
     /// an uninterrupted run bit-for-bit.
@@ -638,8 +586,8 @@ impl Snapshot for Registry {
         }
         drop(hists);
         let costs = self.costs.lock().expect("obs costs poisoned");
-        w.put_len(costs.len());
-        for (path, s) in costs.iter() {
+        w.put_len(costs.values().filter(|s| !s.wall).count());
+        for (path, s) in costs.iter().filter(|(_, s)| !s.wall) {
             w.put_str(path);
             w.put_u64(s.enters);
             w.put_u64(s.allocs);

@@ -12,10 +12,10 @@
 //! deterministic half of the telemetry contract: its rendered contents
 //! are bit-identical at any `--threads` setting.
 //!
-//! [`ChromeTrace`] is the wall-clock half: it renders span timings and
-//! per-day stage timelines as Chrome trace-event JSON (loadable at
-//! `ui.perfetto.dev`), and — exactly like span exports — never
-//! participates in determinism checks.
+//! [`ChromeTrace`] is the wall-clock half: it renders the registry's
+//! wall-frame timeline as Chrome trace-event JSON (loadable at
+//! `ui.perfetto.dev`), and — exactly like every wall-clock export —
+//! never participates in determinism checks.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
@@ -334,9 +334,9 @@ impl Snapshot for FlightRecorder {
 }
 
 /// Builder for Chrome trace-event JSON (the format Perfetto and
-/// `chrome://tracing` load). Wall-clock only: this export carries span
-/// durations and per-day stage timelines and is **excluded** from every
-/// determinism check, exactly like span exports today.
+/// `chrome://tracing` load). Wall-clock only: this export carries
+/// wall-frame slices and counter samples and is **excluded** from every
+/// determinism check, exactly like the other wall-clock exports.
 #[derive(Debug, Default)]
 pub struct ChromeTrace {
     events: Vec<Value>,

@@ -14,8 +14,8 @@
 //! ```
 //!
 //! then commit the updated JSON alongside the change. The golden file
-//! deliberately excludes every wall-clock field (span timings, per-day
-//! elapsed milliseconds): only what the run *did* is pinned, never how
+//! deliberately excludes every wall-clock field (stage and cost timings,
+//! per-day elapsed milliseconds): only what the run *did* is pinned, never how
 //! fast it did it.
 
 use search_seizure::{Study, StudyConfig};

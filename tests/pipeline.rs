@@ -2,6 +2,7 @@
 //! check that every dataset the paper collected exists and is coherent.
 
 use search_seizure::analysis::{ecosystem, figures};
+use search_seizure::manifest::CalibrationTarget;
 use search_seizure::{Study, StudyConfig};
 
 fn study() -> search_seizure::StudyOutput {
@@ -117,7 +118,7 @@ fn study_output_is_identical_across_crawl_thread_counts() {
         );
         // Telemetry rides the same determinism rule: per-worker crawl
         // registries merge in vertical order, so the deterministic half of
-        // the study's registry (counters + histograms, spans excluded)
+        // the study's registry (counters + histograms, wall time excluded)
         // renders byte-identically at any thread count.
         assert_eq!(
             out.metrics.metrics_json(),
@@ -191,14 +192,16 @@ fn telemetry_spans_every_stage_with_a_broad_metric_surface() {
     let stage_names = study.stage_names();
     let out = study.run().expect("study runs");
 
-    // Every scheduled stage ran under its own span, once per study day.
+    // Every scheduled stage ran under its own wall frame, once per study
+    // day.
     let study_days = out.window.1.days_since(out.window.0) + 1;
     for name in &stage_names {
-        let span = out
+        let frame = out
             .metrics
-            .span_stats(&format!("stage.{name}"))
-            .unwrap_or_else(|| panic!("no span for stage {name}"));
-        assert_eq!(span.count as i64, study_days, "stage {name} span count");
+            .cost_stats(&format!("stage.{name}"))
+            .unwrap_or_else(|| panic!("no wall row for stage {name}"));
+        assert!(frame.wall, "stage {name} row is not a wall row");
+        assert_eq!(frame.enters as i64, study_days, "stage {name} close count");
     }
     assert_eq!(out.manifest.stage_timings.len(), stage_names.len());
 
@@ -250,4 +253,29 @@ fn supplier_ledger_matches_world_ledger() {
         out.world.supplier.records.len(),
         "scrape should recover the full ledger"
     );
+}
+
+/// The calibration gate reads the same statistics as the reports: the
+/// manifest's measured skew and mean peak equal the skew check and
+/// Table 2's mean bit for bit.
+#[test]
+fn calibration_observables_match_the_reports_bit_for_bit() {
+    let mut cfg = StudyConfig::fast_test(101);
+    cfg.calibration = ["top5_campaign_share", "mean_peak_days"]
+        .map(|name| CalibrationTarget::new(name, 0.0, (0.0, 1e9), (0.0, 1e9)))
+        .to_vec();
+    let out = Study::new(cfg).run().expect("study runs");
+    let measured = |name: &str| {
+        out.manifest
+            .calibration
+            .iter()
+            .find(|c| c.observable == name)
+            .and_then(|c| c.measured)
+            .unwrap_or_else(|| panic!("{name} not measured"))
+    };
+    let top5 = ecosystem::top_k_psr_share(&out, 5);
+    let mean_peak = ecosystem::table2(&out).mean_peak_days;
+    assert!(top5 > 0.0 && mean_peak > 0.0, "{top5} {mean_peak}");
+    assert_eq!(measured("top5_campaign_share").to_bits(), top5.to_bits());
+    assert_eq!(measured("mean_peak_days").to_bits(), mean_peak.to_bits());
 }
