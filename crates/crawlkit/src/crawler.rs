@@ -4,13 +4,15 @@
 //! records per-result observations (rank, root-ness, hacked label), and
 //! resolves each result domain's cloaking status:
 //!
-//! * **new domains** run the full detection stack — Dagger first, VanGogh
-//!   (rendering, ≤3 pages/domain) when Dagger stays quiet;
+//! * **new domains** run the full detection stack — Dagger first, then a
+//!   VanGogh rendering pass of the result page when Dagger stays quiet;
 //! * **known-clean domains are skipped** — the paper's churn trim ("we do
 //!   not crawl domains previously seen and not detected as poisoned",
 //!   viable because daily churn is only ~1.84%);
 //! * **known-poisoned domains** get a cheap landing re-verification every
 //!   few days, which is how landing rotations and seizure notices surface.
+//!   A reverification fetches everything afresh but reuses the doorway's
+//!   last render when the fetched page is unchanged ([`crate::recheck`]).
 //!
 //! Store detection and seizure parsing run on landing pages as they are
 //! (re)resolved.
@@ -19,14 +21,17 @@
 //!
 //! A crawl day is a map/reduce over verticals. The **map** phase is pure:
 //! each vertical worker sees only `&World` (the read-only fetch plane)
-//! plus an immutable [`DbSnapshot`] of yesterday's knowledge, and emits a
-//! [`CrawlEvent`] log. Workers never touch the database, so any number of
-//! them can run concurrently on scoped threads. The **reduce** phase
-//! replays the event logs into [`CrawlDb`] strictly in vertical-index
+//! plus a borrowed, read-only [`DbView`] of yesterday's knowledge, and
+//! emits a [`CrawlEvent`] log. Workers never write the database, so any
+//! number of them can run concurrently on scoped threads. The **reduce**
+//! phase replays the event logs into [`CrawlDb`] strictly in vertical-index
 //! order on the calling thread — which is where all interning and
 //! mutation happens. Because worker output depends only on
-//! `(world, snapshot, vertical, day)` and the reduce order is fixed, the
-//! database is bit-identical at any thread count, including one.
+//! `(world, start-of-day database, vertical, day)` and the reduce order is
+//! fixed, the database is bit-identical at any thread count, including
+//! one. A doorway's [`LastCheck`] follows the same rule: workers read it
+//! from the start-of-day database and return the new one in their
+//! events, so whether a render is reused never depends on scheduling.
 //!
 //! # Telemetry
 //!
@@ -36,7 +41,11 @@
 //! caller's registry strictly in vertical order — the same replay rule
 //! the database follows, so instrumented runs stay bit-identical at any
 //! thread count (counter/histogram merging is integer addition and
-//! order-insensitive besides).
+//! order-insensitive besides). The reduce itself runs in the work-only
+//! `crawl/apply` scope, which gives its wall time a row but keeps its heap
+//! traffic out of the deterministic columns: that traffic is the growth
+//! of the database's containers and of the caller's registry, whose
+//! capacities depend on history a checkpoint restore does not reproduce.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,6 +61,7 @@ use ss_eco::World;
 
 use crate::dagger::{self, CloakSignal};
 use crate::db::{CrawlDb, DailyCount, DomainInfo, PsrRecord, StoreInfo};
+use crate::recheck::LastCheck;
 use crate::stores::{self, SeizureNotice};
 use crate::terms::{query_by_text, MonitoredVertical, TermMethodology};
 use crate::vangogh;
@@ -61,7 +71,10 @@ use crate::vangogh;
 pub struct CrawlerConfig {
     /// SERP depth to crawl daily (paper: 100).
     pub serp_depth: usize,
-    /// Maximum pages rendered per doorway domain (paper: 3).
+    /// Whether a new domain gets a VanGogh rendering pass when Dagger
+    /// stays quiet: any value above 0 enables it. (The paper sampled up to
+    /// three pages per doorway; the crawler renders the one result page
+    /// it first sees, so no higher value changes anything.)
     pub render_sample: u8,
     /// Days between landing re-verifications of known-poisoned domains.
     pub reverify_days: u32,
@@ -91,22 +104,43 @@ impl Default for CrawlerConfig {
 /// Ring capacity of the crawler's merged flight recorder.
 const CRAWL_TRACE_CAP: usize = 1 << 16;
 
-/// What a vertical worker knows about one poisoned doorway, frozen at the
-/// start of the day. Name-keyed: workers never see interned ids.
-#[derive(Debug, Clone)]
-struct PoisonSnap {
-    signal: CloakSignal,
-    last_verified: SimDate,
+/// Yesterday's crawl knowledge as the vertical workers read it: the
+/// database and the churn-trim clean set, borrowed for the map phase —
+/// nothing is copied. Names resolve through the database's interner.
+#[derive(Debug, Clone, Copy)]
+struct DbView<'a> {
+    db: &'a CrawlDb,
+    clean: &'a HashSet<u32>,
 }
 
-/// Immutable start-of-day view of the crawler's accumulated knowledge,
-/// shared read-only by every vertical worker.
-#[derive(Debug, Default)]
-struct DbSnapshot {
-    /// Known-poisoned doorways by domain name.
-    poisoned: HashMap<String, PoisonSnap>,
-    /// Domain names checked and found clean.
-    clean: HashSet<String>,
+/// What a vertical worker knows about a result domain.
+#[derive(Debug, Clone, Copy)]
+enum Prior<'a> {
+    /// Confirmed cloaked: its start-of-day record, or `None` when this
+    /// worker detected or re-verified it today.
+    Poisoned(CloakSignal, Option<&'a DomainInfo>),
+    /// Checked and found clean (the churn trim skips it).
+    Clean,
+    /// Never checked.
+    New,
+}
+
+impl<'a> DbView<'a> {
+    /// The start-of-day verdict on `name`. A poisoned record wins over a
+    /// clean one.
+    fn prior(self, name: &str) -> Prior<'a> {
+        let Some(id) = self.db.domains.get(name) else {
+            return Prior::New;
+        };
+        match self.db.doorway_info.get(&id) {
+            Some(info) => match info.cloak {
+                Some(signal) => Prior::Poisoned(signal, Some(info)),
+                None => Prior::Clean,
+            },
+            None if self.clean.contains(&id) => Prior::Clean,
+            None => Prior::New,
+        }
+    }
 }
 
 /// What a vertical worker saw when it visited a landing (store) page.
@@ -137,11 +171,13 @@ enum CrawlEvent {
         domain: String,
         signal: CloakSignal,
         landing: Option<String>,
+        check: Option<LastCheck>,
     },
     /// A known-poisoned doorway's landing was re-resolved.
     Reverified {
         domain: String,
         landing: Option<String>,
+        check: Option<LastCheck>,
     },
     /// Hacked-label state observed for a poisoned domain.
     Label { domain: String, labeled: bool },
@@ -215,9 +251,10 @@ impl Crawler {
         self.clean.iter()
     }
 
-    /// Crawls one day across all monitored verticals: snapshot, map
-    /// (possibly threaded), then an ordered reduce. The world is only
-    /// read — crawling never perturbs the ecosystem it measures.
+    /// Crawls one day across all monitored verticals: a map (possibly
+    /// threaded) over a read-only view of the database, then an ordered
+    /// reduce. The world is only read — crawling never perturbs the
+    /// ecosystem it measures.
     /// Telemetry is discarded; use [`Crawler::crawl_day_metered`] to keep it.
     pub fn crawl_day(&mut self, world: &World, day: SimDate) {
         self.crawl_day_metered(world, day, &Registry::new());
@@ -229,15 +266,18 @@ impl Crawler {
     pub fn crawl_day_metered(&mut self, world: &World, day: SimDate, obs: &Registry) {
         let _day = obs.span("crawl.day");
         let (compiles_before, hits_before) = self.js_cache.stats();
-        let snap = self.snapshot();
+        let view = DbView {
+            db: &self.db,
+            clean: &self.clean,
+        };
         let n = self.monitored.len();
-        let logs = if self.cfg.threads <= 1 || n <= 1 {
+        let logs: Vec<VerticalLog> = if self.cfg.threads <= 1 || n <= 1 {
             (0..n)
                 .map(|vi| {
                     crawl_vertical(
                         world,
                         &self.cfg,
-                        &snap,
+                        view,
                         &self.monitored[vi],
                         vi,
                         day,
@@ -246,8 +286,9 @@ impl Crawler {
                 })
                 .collect()
         } else {
-            self.map_parallel(world, &snap, day)
+            self.map_parallel(world, view, day)
         };
+        let _apply = obs.work_scope("crawl/apply");
         for (vi, log) in logs.into_iter().enumerate() {
             self.apply_log(day, vi as u16, log, obs);
         }
@@ -272,7 +313,7 @@ impl Crawler {
     /// Runs the map phase on `cfg.threads` scoped worker threads pulling
     /// vertical indices from a shared counter. Results land in their
     /// vertical's slot, so scheduling order cannot leak into the output.
-    fn map_parallel(&self, world: &World, snap: &DbSnapshot, day: SimDate) -> Vec<VerticalLog> {
+    fn map_parallel(&self, world: &World, view: DbView<'_>, day: SimDate) -> Vec<VerticalLog> {
         let n = self.monitored.len();
         let cfg = &self.cfg;
         let monitored = &self.monitored;
@@ -286,7 +327,7 @@ impl Crawler {
                     if vi >= n {
                         break;
                     }
-                    let log = crawl_vertical(world, cfg, snap, &monitored[vi], vi, day, js_cache);
+                    let log = crawl_vertical(world, cfg, view, &monitored[vi], vi, day, js_cache);
                     slots.lock().expect("no worker panicked holding the lock")[vi] = Some(log);
                 });
             }
@@ -298,32 +339,6 @@ impl Crawler {
             .into_iter()
             .map(|slot| slot.expect("every vertical produced a log"))
             .collect()
-    }
-
-    /// Freezes the database into the name-keyed view workers read.
-    fn snapshot(&self) -> DbSnapshot {
-        let mut snap = DbSnapshot::default();
-        for (id, info) in &self.db.doorway_info {
-            let name = self.db.domains.resolve(*id).to_owned();
-            match info.cloak {
-                Some(signal) => {
-                    snap.poisoned.insert(
-                        name,
-                        PoisonSnap {
-                            signal,
-                            last_verified: info.last_verified,
-                        },
-                    );
-                }
-                None => {
-                    snap.clean.insert(name);
-                }
-            }
-        }
-        for id in &self.clean {
-            snap.clean.insert(self.db.domains.resolve(*id).to_owned());
-        }
-        snap
     }
 
     /// Reduce: replays one vertical's event log into the database (the
@@ -353,6 +368,7 @@ impl Crawler {
                     domain,
                     signal,
                     landing,
+                    check,
                 } => {
                     let id = self.db.domains.intern(&domain);
                     self.clean.remove(&id);
@@ -361,6 +377,7 @@ impl Crawler {
                         // Another vertical detected it earlier today.
                         Some(info) => {
                             info.last_seen = day;
+                            info.last_check = check;
                             if let Some(lid) = landing_id {
                                 let changed =
                                     info.landings.last().map(|(_, l)| *l != lid).unwrap_or(true);
@@ -379,18 +396,23 @@ impl Crawler {
                                     landings: landing_id.map(|l| (day, l)).into_iter().collect(),
                                     label_seen: None,
                                     last_unlabeled_before: None,
-                                    rendered_pages: 1,
                                     last_verified: day,
+                                    last_check: check,
                                 },
                             );
                         }
                     }
                 }
-                CrawlEvent::Reverified { domain, landing } => {
+                CrawlEvent::Reverified {
+                    domain,
+                    landing,
+                    check,
+                } => {
                     let id = self.db.domains.intern(&domain);
                     let landing_id = landing.map(|l| self.db.domains.intern(&l));
                     if let Some(info) = self.db.doorway_info.get_mut(&id) {
                         info.last_verified = day;
+                        info.last_check = check;
                         if let Some(lid) = landing_id {
                             let changed =
                                 info.landings.last().map(|(_, l)| *l != lid).unwrap_or(true);
@@ -516,13 +538,13 @@ impl Crawler {
 }
 
 /// The pure map phase for one vertical: crawl every monitored term's SERP
-/// against `&World`, deciding each domain from the frozen snapshot plus a
-/// thread-local overlay of this day's own discoveries. Counters land in
+/// against `&World`, deciding each domain from the start-of-day view plus
+/// a thread-local overlay of this day's own verdicts. Counters land in
 /// the log's private registry, labeled with the vertical name.
 fn crawl_vertical(
     world: &World,
     cfg: &CrawlerConfig,
-    snap: &DbSnapshot,
+    view: DbView<'_>,
     mv: &MonitoredVertical,
     vi: usize,
     day: SimDate,
@@ -533,10 +555,11 @@ fn crawl_vertical(
     // Per-work-item recorder: unbounded here, bounded at the merge point,
     // so eviction happens once in a single deterministic stream.
     let trace = FlightRecorder::unbounded(cfg.trace);
-    // This vertical's same-day discoveries, layered over the snapshot so a
-    // domain appearing under several terms is only detected once — the
-    // same memoization the sequential crawler got from its database.
-    let mut local_poisoned: HashMap<String, PoisonSnap> = HashMap::new();
+    // This vertical's same-day verdicts, layered over the view so a domain
+    // appearing under several terms is only checked once — the same
+    // memoization the sequential crawler got from its database. A domain
+    // in `local_poisoned` was detected or re-verified today.
+    let mut local_poisoned: HashMap<String, CloakSignal> = HashMap::new();
     let mut local_clean: HashSet<String> = HashSet::new();
 
     let mut count = DailyCount {
@@ -548,71 +571,95 @@ fn crawl_vertical(
         total_poisoned: 0,
     };
     let mut events: Vec<CrawlEvent> = Vec::new();
+    let mut renders_reused = 0u64;
 
     for term in &mv.terms {
-        let Some(results) = query_by_text(world, term, day, cfg.serp_depth) else {
+        let Some(serp) = query_by_text(world, term, day, cfg.serp_depth) else {
             continue;
         };
+        let results = serp.results();
         ss_obs::count!(metrics, "crawl.serp_queries", 1, vertical = vertical);
         ss_obs::observe!(metrics, "crawl.serp_results", results.len());
-        for (rank, url, labeled) in results {
+        for hit in results {
+            let (rank, labeled) = (hit.rank, hit.hacked_label);
+            let url = &world.engine.doc(hit.doc).url;
             count.total_seen += 1;
             if rank <= 10 {
                 count.top10_seen += 1;
             }
             let name = url.host.as_str();
 
-            let known = local_poisoned
-                .get(name)
-                .or_else(|| snap.poisoned.get(name))
-                .cloned();
-            let poisoned = if let Some(info) = known {
+            let prior = match local_poisoned.get(name) {
+                Some(&signal) => Prior::Poisoned(signal, None),
+                None => match view.prior(name) {
+                    Prior::New if local_clean.contains(name) => Prior::Clean,
+                    prior => prior,
+                },
+            };
+            let poisoned = if let Prior::Poisoned(signal, info) = prior {
                 events.push(CrawlEvent::Seen {
                     domain: name.to_owned(),
                 });
+                let (last_verified, last_check) =
+                    info.map_or((day, None), |i| (i.last_verified, i.last_check.as_ref()));
                 // Known poisoned: periodic cheap landing re-verification.
-                if day.days_since(info.last_verified) >= i64::from(cfg.reverify_days) {
+                if day.days_since(last_verified) >= i64::from(cfg.reverify_days) {
                     ss_obs::count!(metrics, "crawl.fetches", 1, vertical = vertical);
                     ss_obs::count!(metrics, "crawl.reverifies", 1, vertical = vertical);
-                    let verdict = match info.signal {
-                        CloakSignal::Iframe => {
-                            vangogh::check_with(world, &url, term, cfg.max_hops, js_cache, &metrics)
-                        }
-                        _ => {
-                            dagger::check_with(world, &url, term, cfg.max_hops, js_cache, &metrics)
-                        }
+                    let verdict = match signal {
+                        CloakSignal::Iframe => vangogh::check_with(
+                            world,
+                            url,
+                            term,
+                            cfg.max_hops,
+                            last_check,
+                            js_cache,
+                            &metrics,
+                        ),
+                        _ => dagger::check_with(
+                            world,
+                            url,
+                            term,
+                            cfg.max_hops,
+                            last_check,
+                            js_cache,
+                            &metrics,
+                        ),
                     };
-                    local_poisoned.insert(
-                        name.to_owned(),
-                        PoisonSnap {
-                            signal: info.signal,
-                            last_verified: day,
-                        },
-                    );
+                    renders_reused += u64::from(verdict.reused);
+                    local_poisoned.insert(name.to_owned(), signal);
                     let landing = verdict.landing;
                     events.push(CrawlEvent::Reverified {
                         domain: name.to_owned(),
                         landing: landing.as_ref().map(|l| l.host.as_str().to_owned()),
+                        check: verdict.last_check,
                     });
                     if let Some(landing) = landing {
                         events.push(visit_store(world, &landing, &metrics, vertical));
                     }
                 }
                 true
-            } else if local_clean.contains(name) || snap.clean.contains(name) {
+            } else if matches!(prior, Prior::Clean) {
                 false // churn trim: known clean
             } else {
-                // First sighting: run the detection stack — Dagger, then a
-                // rendering pass within the per-domain budget.
+                // First sighting: run the detection stack — Dagger, then
+                // a rendering pass when Dagger stays quiet.
                 ss_obs::count!(metrics, "crawl.fetches", 2, vertical = vertical);
                 ss_obs::count!(metrics, "crawl.detector_runs", 1, vertical = vertical);
                 let mut verdict =
-                    dagger::check_with(world, &url, term, cfg.max_hops, js_cache, &metrics);
+                    dagger::check_with(world, url, term, cfg.max_hops, None, js_cache, &metrics);
                 if verdict.cloaked.is_none() && cfg.render_sample > 0 {
                     ss_obs::count!(metrics, "crawl.fetches", 1, vertical = vertical);
                     ss_obs::count!(metrics, "crawl.render_passes", 1, vertical = vertical);
-                    verdict =
-                        vangogh::check_with(world, &url, term, cfg.max_hops, js_cache, &metrics);
+                    verdict = vangogh::check_with(
+                        world,
+                        url,
+                        term,
+                        cfg.max_hops,
+                        None,
+                        js_cache,
+                        &metrics,
+                    );
                 }
                 match verdict.cloaked {
                     None => {
@@ -633,18 +680,13 @@ fn crawl_vertical(
                             "detected {name} vertical={vertical} signal={signal:?} landing={:?}",
                             verdict.landing.as_ref().map(|l| l.host.as_str())
                         );
-                        local_poisoned.insert(
-                            name.to_owned(),
-                            PoisonSnap {
-                                signal,
-                                last_verified: day,
-                            },
-                        );
+                        local_poisoned.insert(name.to_owned(), signal);
                         let landing = verdict.landing;
                         events.push(CrawlEvent::Detected {
                             domain: name.to_owned(),
                             signal,
                             landing: landing.as_ref().map(|l| l.host.as_str().to_owned()),
+                            check: verdict.last_check,
                         });
                         if let Some(landing) = landing {
                             events.push(visit_store(world, &landing, &metrics, vertical));
@@ -682,6 +724,14 @@ fn crawl_vertical(
                 });
             }
         }
+    }
+    if renders_reused > 0 {
+        ss_obs::count!(
+            metrics,
+            "crawl.renders_reused",
+            renders_reused,
+            vertical = vertical
+        );
     }
     if trace.enabled() {
         trace.record(
@@ -828,10 +878,19 @@ mod tests {
     use ss_eco::ScenarioConfig;
 
     fn crawl_world_threaded(days: u32, threads: usize) -> (World, Crawler, Registry) {
-        let mut w = World::build(ScenarioConfig::tiny(23)).unwrap();
+        crawl_scenario(ScenarioConfig::tiny(23), 6, days, threads)
+    }
+
+    fn crawl_scenario(
+        scenario: ScenarioConfig,
+        terms_per_vertical: usize,
+        days: u32,
+        threads: usize,
+    ) -> (World, Crawler, Registry) {
+        let mut w = World::build(scenario).unwrap();
         let start = SimDate::from_day_index(ss_types::CRAWL_START_DAY);
         w.run_until(start);
-        let monitored = terms::select_all(&w, start, 6, 5);
+        let monitored = terms::select_all(&w, start, terms_per_vertical, 5);
         let mut crawler = Crawler::new(
             CrawlerConfig {
                 serp_depth: 30,
@@ -970,11 +1029,24 @@ mod tests {
     }
 
     /// The tentpole determinism guarantee at the crawler level: the entire
-    /// database — PSR stream, doorway table, store table, daily counts,
-    /// and both interners — is bit-identical at any thread count.
+    /// database — PSR stream, doorway table with each doorway's remembered
+    /// check, store table, daily counts, and both interners — is
+    /// bit-identical at any thread count.
     #[test]
     fn crawl_is_bit_identical_across_thread_counts() {
         let (_w1, serial, serial_obs) = crawl_world_threaded(5, 1);
+        assert!(
+            serial
+                .db
+                .doorway_info
+                .values()
+                .any(|i| i.last_check.is_some()),
+            "no doorway remembers a check"
+        );
+        assert!(
+            serial_obs.counter_total("crawl.renders_reused") > 0,
+            "no reverification reused a render"
+        );
         for threads in [2, 8] {
             let (_w, parallel, parallel_obs) = crawl_world_threaded(5, threads);
             // Telemetry follows the same replay rule as the database:
@@ -1011,6 +1083,10 @@ mod tests {
                 assert_eq!(info.landings, other.landings);
                 assert_eq!(info.first_seen, other.first_seen);
                 assert_eq!(info.last_verified, other.last_verified);
+                assert_eq!(
+                    info.last_check, other.last_check,
+                    "{threads} threads: remembered checks differ"
+                );
             }
             assert_eq!(serial.db.store_info.len(), parallel.db.store_info.len());
             for (id, info) in &serial.db.store_info {
@@ -1033,6 +1109,45 @@ mod tests {
                 "{threads} threads: flight recorders differ"
             );
         }
+    }
+
+    /// Crawls `days` days at one thread, so every reuse runs through the
+    /// exactness oracle on this test's thread, and returns the reuses it
+    /// confirmed per detector plus the crawl's reuse counter.
+    fn confirmed_reuses(scenario: ScenarioConfig, terms: usize, days: u32) -> ([u64; 2], u64) {
+        let before = crate::recheck::oracle::confirmed();
+        let (_w, _crawler, obs) = crawl_scenario(scenario, terms, days, 1);
+        let after = crate::recheck::oracle::confirmed();
+        (
+            [after[0] - before[0], after[1] - before[1]],
+            obs.counter_total("crawl.renders_reused"),
+        )
+    }
+
+    /// Render reuse is exact: over a 14-day crawl, every reused conclusion
+    /// equals a fresh render of the same inputs on a throwaway cache (the
+    /// oracle panics otherwise), on both detectors' paths.
+    #[test]
+    fn reuse_oracle_confirms_every_reused_render() {
+        let ([dagger, vangogh], reused) = confirmed_reuses(ScenarioConfig::tiny(23), 6, 14);
+        assert!(dagger > 0, "no Dagger reverification reused a render");
+        assert!(vangogh > 0, "no VanGogh reverification reused a render");
+        assert_eq!(
+            reused,
+            dagger + vangogh,
+            "every reuse went through the oracle"
+        );
+    }
+
+    /// The oracle over a longer, denser crawl: the small preset for 30
+    /// days. Release-only (`--include-ignored`): a debug build renders
+    /// too slowly.
+    #[test]
+    #[ignore = "release-scale oracle; run with --release -- --include-ignored"]
+    fn reuse_oracle_confirms_every_reused_render_at_small_scale() {
+        let ([dagger, vangogh], reused) = confirmed_reuses(ScenarioConfig::small(7), 12, 30);
+        assert!(dagger > 0 && vangogh > 0, "reuses {dagger}/{vangogh}");
+        assert_eq!(reused, dagger + vangogh);
     }
 
     /// The crawl records a meaningful per-vertical metric surface: fetch,
@@ -1065,16 +1180,38 @@ mod tests {
     /// The VM compile cache works at crawl scale: pages are generated from
     /// a handful of templates, so compiles stay tiny while hits track the
     /// render volume — and both surface as counters in the registry.
+    /// Repeat renders of unchanged pages are reused above the cache, so
+    /// the hit volume is measured on the same crawl with every remembered
+    /// check forgotten before each day (all reverifications render).
     #[test]
     fn js_compile_cache_counters_recorded_under_vm() {
         let (_w, crawler, obs) = crawl_world_threaded(5, 2);
         let (compiles, hits) = crawler.js_cache_stats();
         assert!(compiles > 0, "rendering crawls must compile some scripts");
-        assert!(
-            hits > compiles,
-            "template reuse should make hits ({hits}) dominate compiles ({compiles})"
-        );
         assert_eq!(obs.counter_total("simweb.js_compile"), compiles);
         assert_eq!(obs.counter_total("simweb.js_cache_hit"), hits);
+
+        let mut w = World::build(ScenarioConfig::tiny(23)).unwrap();
+        let start = SimDate::from_day_index(ss_types::CRAWL_START_DAY);
+        w.run_until(start);
+        let mut forgetful = Crawler::new(crawler.cfg.clone(), crawler.monitored.clone());
+        for d in 0..5 {
+            let day = start + 1 + d;
+            w.run_until(day);
+            for info in forgetful.db.doorway_info.values_mut() {
+                info.last_check = None;
+            }
+            forgetful.crawl_day(&w, day);
+        }
+        let (all_compiles, all_hits) = forgetful.js_cache_stats();
+        assert_eq!(
+            all_compiles, compiles,
+            "a reused render never skips a compile"
+        );
+        assert!(
+            all_hits > all_compiles,
+            "template reuse should make hits ({all_hits}) dominate compiles ({all_compiles})"
+        );
+        assert!(hits < all_hits, "reused renders should skip cache lookups");
     }
 }

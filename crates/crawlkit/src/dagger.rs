@@ -20,9 +20,11 @@ use std::collections::HashSet;
 use ss_obs::{charge, Registry, WorkKind};
 use ss_types::Url;
 use ss_web::http::{Fetcher, Request, Response, UserAgent};
-use ss_web::js::render::render_with;
+use ss_web::js::render::Rendered;
 use ss_web::js::JsCache;
 use ss_web::Document;
+
+use crate::recheck::{Detector, Finding, Inputs, LastCheck};
 
 /// What kind of cloaking was detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,6 +50,12 @@ pub struct DaggerVerdict {
     pub user_body: String,
     /// Cookies the landing page set.
     pub cookies: Vec<ss_web::http::Cookie>,
+    /// What the check's render analysed and concluded, when it rendered
+    /// (or reused) one: the doorway's next [`LastCheck`].
+    pub last_check: Option<LastCheck>,
+    /// Whether that conclusion was reused from the previous check rather
+    /// than rendered afresh.
+    pub reused: bool,
 }
 
 /// The Google referrer the detector presents (§4.1.2's "as a user" fetch
@@ -81,6 +89,7 @@ pub fn check(web: &impl Fetcher, url: &Url, term: &str, max_hops: usize) -> Dagg
         url,
         term,
         max_hops,
+        None,
         JsCache::global(),
         &Registry::new(),
     )
@@ -90,14 +99,17 @@ pub fn check(web: &impl Fetcher, url: &Url, term: &str, max_hops: usize) -> Dagg
 ///
 /// Takes the read plane only: detection fetches must never perturb the
 /// world, so whatever effects the fetches report are dropped here. The
-/// renderer (step 2's JS-redirect upgrade) compiles through `cache`.
-/// Phase costs (fetch/render/detect) record into `obs` — the caller's
-/// per-work-item registry, so scoped totals merge deterministically.
+/// renderer (step 2's JS-redirect upgrade) compiles through `cache`, and
+/// is skipped when `last` — the doorway's previous check — analysed the
+/// same inputs (see [`crate::recheck`]). Phase costs (fetch/render/detect)
+/// record into `obs` — the caller's per-work-item registry, so scoped
+/// totals merge deterministically.
 pub fn check_with(
     web: &impl Fetcher,
     url: &Url,
     term: &str,
     max_hops: usize,
+    last: Option<&LastCheck>,
     cache: &JsCache,
     obs: &Registry,
 ) -> DaggerVerdict {
@@ -126,6 +138,8 @@ pub fn check_with(
             landing: Some(landing_url),
             user_body: user_resp.body,
             cookies: user_resp.cookies,
+            last_check: None,
+            reused: false,
         };
     }
 
@@ -133,45 +147,57 @@ pub fn check_with(
     if user_resp.body != crawler_resp.body {
         // Render the user view to catch a JS redirect (the Dagger upgrade
         // described in §4.1.2 — only pages already flagged get rendered,
-        // because rendering is expensive).
-        let rendered = {
-            let _render = obs.cost_scope("crawl/render");
-            render_with(
-                &user_resp.body,
-                &url.to_string(),
-                UserAgent::Browser,
-                None,
-                cache,
-            )
+        // because rendering is expensive), else diff the two views.
+        let inputs = Inputs {
+            detector: Detector::Dagger,
+            body: &user_resp.body,
+            page: url,
+            user_agent: UserAgent::Browser,
+            referrer: None,
+            crawler_body: Some(&crawler_resp.body),
         };
-        if let Some(target) = rendered.js_redirect {
+        let conclude = |rendered: Rendered, obs: &Registry| {
+            if let Some(target) = rendered.js_redirect {
+                return Finding::JsRedirect(target);
+            }
+            let dice = {
+                let _detect = obs.cost_scope("crawl/detect");
+                text_dice(
+                    &Document::parse(&user_resp.body).text_content(),
+                    &Document::parse(&crawler_resp.body).text_content(),
+                )
+            };
+            if dice < DICE_THRESHOLD {
+                Finding::ContentDiff
+            } else {
+                Finding::Clean
+            }
+        };
+        let (check, reused) = inputs.check(last, conclude, cache, obs);
+        if let Finding::JsRedirect(target) = &check.finding {
             let (landing, follow) = {
                 let _fetch = obs.cost_scope("crawl/fetch");
                 charge(WorkKind::DocsFetched, 1);
-                follow_js(web, &target, &user_req, max_hops)
+                follow_js(web, target, &user_req, max_hops)
             };
             return DaggerVerdict {
                 cloaked: Some(CloakSignal::JsRedirect),
                 landing,
                 user_body: follow.map(|r| r.body).unwrap_or(user_resp.body),
                 cookies: Vec::new(),
+                last_check: Some(check),
+                reused,
             };
         }
-        let dice = {
-            let _detect = obs.cost_scope("crawl/detect");
-            text_dice(
-                &Document::parse(&user_resp.body).text_content(),
-                &Document::parse(&crawler_resp.body).text_content(),
-            )
+        let cloaked = (check.finding == Finding::ContentDiff).then_some(CloakSignal::ContentDiff);
+        return DaggerVerdict {
+            cloaked,
+            landing: cloaked.map(|_| landing_url),
+            user_body: user_resp.body,
+            cookies: user_resp.cookies,
+            last_check: Some(check),
+            reused,
         };
-        if dice < DICE_THRESHOLD {
-            return DaggerVerdict {
-                cloaked: Some(CloakSignal::ContentDiff),
-                landing: Some(landing_url),
-                user_body: user_resp.body,
-                cookies: user_resp.cookies,
-            };
-        }
     }
 
     DaggerVerdict {
@@ -179,6 +205,8 @@ pub fn check_with(
         landing: None,
         user_body: user_resp.body,
         cookies: user_resp.cookies,
+        last_check: None,
+        reused: false,
     }
 }
 

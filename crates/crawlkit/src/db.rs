@@ -26,6 +26,7 @@ use ss_types::snapshot::{fnv1a64, Reader, Snapshot, SnapshotError, Writer};
 use ss_types::SimDate;
 
 use crate::dagger::CloakSignal;
+use crate::recheck::{Finding, LastCheck};
 use crate::stores::SeizureNotice;
 
 // The intern table moved to `ss_types` so the simulator's component tables
@@ -396,10 +397,11 @@ pub struct DomainInfo {
     /// Last day the result was seen *without* a label before the first
     /// labeled sighting (for censored delay estimation).
     pub last_unlabeled_before: Option<SimDate>,
-    /// How many pages VanGogh has rendered for this domain (≤ sample cap).
-    pub rendered_pages: u8,
     /// Day the landing was last re-verified.
     pub last_verified: SimDate,
+    /// What the last detection or reverification rendered and concluded,
+    /// if it rendered: a recheck whose inputs match reuses it.
+    pub last_check: Option<LastCheck>,
 }
 
 /// Per-store-domain knowledge.
@@ -526,8 +528,35 @@ fn put_domain_info(w: &mut Writer, i: &DomainInfo) {
         w.put_date(*last);
     });
     w.put_opt(i.last_unlabeled_before.as_ref(), |w, d| w.put_date(*d));
-    w.put_u8(i.rendered_pages);
     w.put_date(i.last_verified);
+    w.put_opt(i.last_check.as_ref(), |w, c| {
+        w.put_u64(c.digest);
+        match &c.finding {
+            Finding::JsRedirect(target) => {
+                w.put_u8(0);
+                w.put_str(target);
+            }
+            Finding::Iframe(src) => {
+                w.put_u8(1);
+                w.put_str(src);
+            }
+            Finding::ContentDiff => w.put_u8(2),
+            Finding::Clean => w.put_u8(3),
+        }
+    });
+}
+
+fn get_last_check(r: &mut Reader<'_>) -> Result<LastCheck, SnapshotError> {
+    Ok(LastCheck {
+        digest: r.get_u64()?,
+        finding: match r.get_u8()? {
+            0 => Finding::JsRedirect(r.get_str()?),
+            1 => Finding::Iframe(r.get_str()?),
+            2 => Finding::ContentDiff,
+            3 => Finding::Clean,
+            b => return Err(SnapshotError::Corrupt(format!("finding byte {b}"))),
+        },
+    })
 }
 
 fn get_domain_info(r: &mut Reader<'_>) -> Result<DomainInfo, SnapshotError> {
@@ -538,8 +567,8 @@ fn get_domain_info(r: &mut Reader<'_>) -> Result<DomainInfo, SnapshotError> {
         landings: r.get_seq(|r| Ok((r.get_date()?, r.get_u32()?)))?,
         label_seen: r.get_opt(|r| Ok((r.get_date()?, r.get_date()?)))?,
         last_unlabeled_before: r.get_opt(|r| r.get_date())?,
-        rendered_pages: r.get_u8()?,
         last_verified: r.get_date()?,
+        last_check: r.get_opt(get_last_check)?,
     })
 }
 
@@ -583,7 +612,10 @@ fn get_store_info(r: &mut Reader<'_>) -> Result<StoreInfo, SnapshotError> {
 
 impl Snapshot for CrawlDb {
     const TAG: &'static str = "crawl-db";
-    const VERSION: u16 = 1;
+    /// Version 2 replaced each doorway's unused rendered-page count with
+    /// its [`LastCheck`] record; version-1 frames fail to decode with
+    /// [`SnapshotError::WrongVersion`].
+    const VERSION: u16 = 2;
 
     fn write_body(&self, w: &mut Writer) {
         w.put_nested(&self.domains);
@@ -824,8 +856,11 @@ mod tests {
                 landings: vec![(day, store)],
                 label_seen: Some((day + 1, day + 2)),
                 last_unlabeled_before: Some(day),
-                rendered_pages: 2,
                 last_verified: day + 3,
+                last_check: Some(LastCheck {
+                    digest: 0xfeed_beef_0123_4567,
+                    finding: Finding::JsRedirect("http://store.com/".into()),
+                }),
             },
         );
         db.store_info.insert(
@@ -866,6 +901,10 @@ mod tests {
             db.doorway_info[&d1].label_seen
         );
         assert_eq!(
+            restored.doorway_info[&d1].last_check,
+            db.doorway_info[&d1].last_check
+        );
+        assert_eq!(
             restored.store_info[&store].seizure,
             db.store_info[&store].seizure
         );
@@ -873,6 +912,24 @@ mod tests {
         // Canonical frame: re-encoding the restored database is
         // byte-identical despite the HashMap columns.
         assert_eq!(restored.encode(), db.encode());
+    }
+
+    /// A checkpoint written before the last-check record existed is
+    /// refused with a typed error, never misread.
+    #[test]
+    fn version_1_frames_are_refused_typed() {
+        let v1 = encode_framed(CrawlDb::TAG, 1, |w| CrawlDb::new().write_body(w));
+        match CrawlDb::decode(&v1) {
+            Err(SnapshotError::WrongVersion {
+                tag,
+                expected,
+                found,
+            }) => {
+                assert_eq!(tag, CrawlDb::TAG);
+                assert_eq!((expected, found), (2, 1));
+            }
+            other => panic!("expected WrongVersion, got {other:?}"),
+        }
     }
 
     #[test]
@@ -890,8 +947,8 @@ mod tests {
                 landings: vec![],
                 label_seen: None,
                 last_unlabeled_before: None,
-                rendered_pages: 0,
                 last_verified: day,
+                last_check: None,
             },
         );
         db.doorway_info.insert(
@@ -903,8 +960,8 @@ mod tests {
                 landings: vec![(day, 7)],
                 label_seen: None,
                 last_unlabeled_before: None,
-                rendered_pages: 1,
                 last_verified: day,
+                last_check: None,
             },
         );
         assert_eq!(db.poisoned_domains().count(), 1);

@@ -10,8 +10,9 @@
 //!   Googlebot and as a search-referred browser, follow redirects, diff the
 //!   results semantically, and render to catch JS redirects;
 //! * [`vangogh`] — the VanGogh renderer: full JS execution, flagging
-//!   iframes that visually occupy the page (width/height 100% or >800px),
-//!   sampling at most three pages per doorway domain;
+//!   iframes that visually occupy the page (width/height 100% or >800px);
+//! * [`recheck`] — reverification by digest: a doorway's last check, reused
+//!   when a recheck fetches exactly the inputs it analysed;
 //! * [`stores`] — storefront detection via cookie fingerprints and
 //!   cart/checkout substrings (§4.1.3), plus seizure-notice parsing with
 //!   court-document extraction (§5.3);
@@ -31,6 +32,7 @@
 pub mod crawler;
 pub mod dagger;
 pub mod db;
+pub mod recheck;
 pub mod stores;
 pub mod terms;
 pub mod vangogh;

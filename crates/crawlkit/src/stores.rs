@@ -11,6 +11,7 @@
 //! firm and the court case, with the full list of co-seized domains in the
 //! embedded court document.
 
+use ss_web::html::find_ignore_ascii_case;
 use ss_web::http::Cookie;
 use ss_web::Document;
 
@@ -52,8 +53,9 @@ pub fn detect_store(body: &str, cookies: &[Cookie]) -> StoreVerdict {
     let cookie_hit = cookies
         .iter()
         .any(|c| STORE_COOKIE_NAMES.contains(&c.name.as_str()));
-    let lower = body.to_ascii_lowercase();
-    let cart_hit = lower.contains("cart") || lower.contains("checkout");
+    let cart_hit = ["cart", "checkout"]
+        .iter()
+        .any(|word| find_ignore_ascii_case(body, word).is_some());
     StoreVerdict {
         cookie_hit,
         cart_hit,
@@ -122,6 +124,11 @@ mod tests {
         assert!(v.cart_hit && v.is_store());
         let v = detect_store("<a>Proceed to CHECKOUT</a>", &[]);
         assert!(v.is_store());
+        let v = detect_store("<a>ChEcK oUt your cArT</a>", &[]);
+        assert!(v.cart_hit);
+        let v = detect_store("<a>Chéck out the carton</a>", &[]);
+        assert!(v.cart_hit, "\"carton\" contains \"cart\"");
+        assert!(!detect_store("<a>Chéck out</a>", &[]).cart_hit);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! only to public interfaces: SERPs, `site:` queries, suggest, and fetch.
 
 use rand::seq::SliceRandom;
+use ss_search::RankedSerp;
 use ss_types::rng::sub_rng;
-use ss_types::{SimDate, Url};
+use ss_types::SimDate;
 
 use ss_eco::World;
 
@@ -65,9 +66,10 @@ pub fn doorway_extraction_terms(
         let Some(serp) = query_by_text(world, &q, probe_day, 40) else {
             continue;
         };
-        for (_, url, _) in serp {
+        for hit in serp.results() {
+            let url = &world.engine.doc(hit.doc).url;
             // Probe with Dagger; only confirmed-cloaked doorways are mined.
-            let verdict = crate::dagger::check(world, &url, &q, 5);
+            let verdict = crate::dagger::check(world, url, &q, 5);
             if verdict.cloaked.is_none() {
                 continue;
             }
@@ -118,10 +120,7 @@ pub fn suggest_expansion_terms(
         if out.len() >= want {
             break;
         }
-        if query_by_text(world, &c, probe_day, 10)
-            .map(|r| !r.is_empty())
-            .unwrap_or(false)
-        {
+        if query_by_text(world, &c, probe_day, 10).is_some_and(|r| !r.results().is_empty()) {
             out.push(c);
         }
     }
@@ -188,34 +187,18 @@ pub fn select_all(
     out
 }
 
-/// Queries the engine by term *text* (the only way a crawler can), mapping
-/// to the engine's term table. Returns `(rank, url, labeled)` triples.
+/// Queries the engine by term *text* (the only way a crawler can): one
+/// probe of the engine's text index for the term, then its top-`k` SERP.
 ///
 /// Reads go through the published [`ss_search::EngineEpoch`] — the same
 /// immutable snapshot the traffic planner queried when the day was
 /// committed, so the crawler's `(term, day)` keys are usually warm cache
-/// hits. URLs are resolved here because fetching them is exactly this
-/// boundary's job; the epoch itself hands out ids only.
-pub fn query_by_text(
-    world: &World,
-    text: &str,
-    day: SimDate,
-    k: usize,
-) -> Option<Vec<(u32, Url, bool)>> {
-    let term = world
-        .engine
-        .terms()
-        .iter()
-        .position(|t| t.text == text)
-        .map(ss_types::TermId::from_index)?;
-    let ranked = world.engine.epoch().ranked(term, day, k);
-    Some(
-        ranked
-            .results()
-            .iter()
-            .map(|h| (h.rank, world.engine.doc(h.doc).url.clone(), h.hacked_label))
-            .collect(),
-    )
+/// hits. The SERP holds ids only; callers borrow each result's URL from
+/// the engine's doc table (`world.engine.doc(hit.doc).url`) instead of
+/// cloning it.
+pub fn query_by_text(world: &World, text: &str, day: SimDate, k: usize) -> Option<RankedSerp> {
+    let term = world.engine.term_id(text)?;
+    Some(world.engine.epoch().ranked(term, day, k))
 }
 
 /// Overlap between two term sets (the §4.1.1 bias check counted 4 / 1000

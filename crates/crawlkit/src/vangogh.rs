@@ -4,16 +4,18 @@
 //! script through the JS interpreter, and inspects the *rendered* document
 //! for iframes "attempting to occupy the entire page visually": width and
 //! height both either `100%` or larger than 800 pixels. Because rendering
-//! is expensive, the orchestrator samples at most three pages per doorway
-//! domain — the same workload trim the paper applies.
+//! is expensive, the orchestrator renders a new domain only when Dagger
+//! stays quiet, and a reverification reuses the doorway's last render
+//! when the fetched page is unchanged ([`crate::recheck`]).
 
 use ss_obs::{charge, Registry, WorkKind};
 use ss_types::Url;
 use ss_web::http::{Fetcher, Request, UserAgent};
-use ss_web::js::render::render_with;
+use ss_web::js::render::Rendered;
 use ss_web::js::JsCache;
 
 use crate::dagger::{google_referrer, CloakSignal, DaggerVerdict};
+use crate::recheck::{Detector, Finding, Inputs, LastCheck};
 
 /// The geometric rule from §4.1.2.
 pub fn is_fullpage(width: &str, height: &str) -> bool {
@@ -39,19 +41,22 @@ pub fn check(web: &impl Fetcher, url: &Url, term: &str, max_hops: usize) -> Dagg
         url,
         term,
         max_hops,
+        None,
         JsCache::global(),
         &Registry::new(),
     )
 }
 
 /// [`check`] with an explicit compile cache — the crawler's entry point
-/// (per-run cache). Phase costs record into `obs`, the caller's
-/// per-work-item registry.
+/// (per-run cache). The render is skipped when `last` — the doorway's
+/// previous check — analysed the same inputs (see [`crate::recheck`]).
+/// Phase costs record into `obs`, the caller's per-work-item registry.
 pub fn check_with(
     web: &impl Fetcher,
     url: &Url,
     term: &str,
     max_hops: usize,
+    last: Option<&LastCheck>,
     cache: &JsCache,
     obs: &Registry,
 ) -> DaggerVerdict {
@@ -66,54 +71,54 @@ pub fn check_with(
         let (chain, resp, _) = web.fetch_following(&req, max_hops);
         (chain, resp)
     };
-    let final_url = chain.last().expect("chain non-empty").clone();
-    let rendered = {
-        let _render = obs.cost_scope("crawl/render");
-        render_with(
-            &resp.body,
-            &final_url.to_string(),
-            UserAgent::Browser,
-            Some(google_referrer(term).to_string().as_str()),
-            cache,
-        )
+    let inputs = Inputs {
+        detector: Detector::VanGogh,
+        body: &resp.body,
+        page: chain.last().expect("chain non-empty"),
+        user_agent: req.user_agent,
+        referrer: req.referrer.as_ref(),
+        crawler_body: None,
     };
-
-    // A JS redirect can also surface here when Dagger was skipped.
-    if let Some(target) = rendered.js_redirect.clone() {
-        let (landing, follow) = {
-            let _fetch = obs.cost_scope("crawl/fetch");
-            charge(WorkKind::DocsFetched, 1);
-            crate::dagger::follow_js(web, &target, &req, max_hops)
-        };
-        return DaggerVerdict {
-            cloaked: Some(CloakSignal::JsRedirect),
-            landing,
-            user_body: follow.map(|r| r.body).unwrap_or(resp.body),
-            cookies: Vec::new(),
-        };
-    }
-
-    let iframe_landing = {
+    let conclude = |rendered: Rendered, obs: &Registry| {
+        // A JS redirect can also surface here when Dagger was skipped.
+        if let Some(target) = rendered.js_redirect {
+            return Finding::JsRedirect(target);
+        }
         let _detect = obs.cost_scope("crawl/detect");
         rendered
             .iframes()
             .into_iter()
             .find(|(w, h, _)| is_fullpage(w, h))
-            .map(|(_, _, src)| Url::parse(&src).ok())
+            .map_or(Finding::Clean, |(_, _, src)| Finding::Iframe(src))
     };
-    if let Some(landing) = iframe_landing {
-        return DaggerVerdict {
-            cloaked: Some(CloakSignal::Iframe),
-            landing,
-            user_body: resp.body,
-            cookies: resp.cookies,
-        };
-    }
+    let (check, reused) = inputs.check(last, conclude, cache, obs);
+
+    let (cloaked, landing) = match &check.finding {
+        Finding::JsRedirect(target) => {
+            let (landing, follow) = {
+                let _fetch = obs.cost_scope("crawl/fetch");
+                charge(WorkKind::DocsFetched, 1);
+                crate::dagger::follow_js(web, target, &req, max_hops)
+            };
+            return DaggerVerdict {
+                cloaked: Some(CloakSignal::JsRedirect),
+                landing,
+                user_body: follow.map(|r| r.body).unwrap_or(resp.body),
+                cookies: Vec::new(),
+                last_check: Some(check),
+                reused,
+            };
+        }
+        Finding::Iframe(src) => (Some(CloakSignal::Iframe), Url::parse(src).ok()),
+        Finding::ContentDiff | Finding::Clean => (None, None),
+    };
     DaggerVerdict {
-        cloaked: None,
-        landing: None,
+        cloaked,
+        landing,
         user_body: resp.body,
         cookies: resp.cookies,
+        last_check: Some(check),
+        reused,
     }
 }
 

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use ss_types::{SimDate, Url};
 use ss_web::http::{Fetcher, Request, UserAgent};
-use ss_web::pagegen::supplier::{parse_records, ShipRecord, ShipStatus};
+use ss_web::pagegen::supplier::{parse_records, records_in, ShipRecord, ShipStatus};
 use ss_web::Document;
 
 /// The scraped ledger with aggregates.
@@ -108,13 +108,14 @@ pub fn scrape(
             referrer: None,
         });
         queries += 1;
+        let page = Document::parse(&resp.body);
         let found = if resp.status == 200 {
-            parse_records(&resp.body)
+            records_in(&page)
         } else {
             Vec::new()
         };
         // The page also reports misses; an all-missing chunk counts as dry.
-        let missing = Document::parse(&resp.body)
+        let missing = page
             .find_all("li")
             .into_iter()
             .filter(|li| li.attr("class") == Some("missing"))

@@ -24,7 +24,7 @@
 //! `src/epoch_differential.rs` hold the two paths together.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrder};
 use std::sync::{Arc, Mutex};
 
@@ -488,6 +488,10 @@ impl EngineEpoch {
 pub struct SearchEngine {
     index: Arc<EngineIndex>,
     rank: Arc<RankState>,
+    /// Term text → the first id registered under it: the crawler's
+    /// lookup by text, kept off the published index. Derived from the
+    /// terms: rebuilt by `from_parts`, never serialized.
+    term_ids: BTreeMap<String, TermId>,
     /// Jitter amplitude (score units).
     jitter_amp: f64,
     seed: u64,
@@ -538,6 +542,12 @@ impl SearchEngine {
             by_domain[d.domain.index()].push(DocId(i as u32));
         }
         let domain: Vec<DomainId> = docs.iter().map(|d| d.domain).collect();
+        let mut term_ids = BTreeMap::new();
+        for (i, t) in terms.iter().enumerate() {
+            term_ids
+                .entry(t.text.clone())
+                .or_insert(TermId::from_index(i));
+        }
         let level = |v: &[f64], d: DomainId| v.get(d.index()).copied().unwrap_or(0.0);
         let sorted: Vec<Vec<Posting>> = postings
             .iter()
@@ -576,6 +586,7 @@ impl SearchEngine {
                 hacked_since,
                 sorted,
             }),
+            term_ids,
             jitter_amp,
             seed,
             stats: Arc::new(EngineStats::default()),
@@ -648,6 +659,7 @@ impl SearchEngine {
         self.invalidate_epoch();
         let index = Arc::make_mut(&mut self.index);
         let id = TermId::from_index(index.terms.len());
+        self.term_ids.entry(text.to_owned()).or_insert(id);
         index.terms.push(TermRecord {
             vertical,
             text: text.to_owned(),
@@ -660,6 +672,12 @@ impl SearchEngine {
     /// All registered terms.
     pub fn terms(&self) -> &[TermRecord] {
         &self.index.terms
+    }
+
+    /// The id of the first term registered with `text`: what a scan of
+    /// [`SearchEngine::terms`] for that text finds, by one map lookup.
+    pub fn term_id(&self, text: &str) -> Option<TermId> {
+        self.term_ids.get(text).copied()
     }
 
     /// Number of registered terms.
@@ -1105,6 +1123,26 @@ mod tests {
             );
         }
         (e, t, domains)
+    }
+
+    #[test]
+    fn term_ids_resolve_like_a_text_scan_and_survive_decode() {
+        let mut e = SearchEngine::new(3, 0.05);
+        for text in ["cheap uggs", "ugg outlet", "cheap uggs", "uggs sale"] {
+            e.add_term(VerticalId(0), text);
+        }
+        let scan = |e: &SearchEngine, text: &str| {
+            e.terms()
+                .iter()
+                .position(|t| t.text == text)
+                .map(TermId::from_index)
+        };
+        let back = SearchEngine::decode(&e.encode()).unwrap();
+        for text in ["cheap uggs", "ugg outlet", "uggs sale", "missing"] {
+            assert_eq!(e.term_id(text), scan(&e, text), "{text}");
+            assert_eq!(back.term_id(text), scan(&e, text), "decoded {text}");
+        }
+        assert_eq!(e.term_id("cheap uggs"), Some(TermId::from_index(0)));
     }
 
     #[test]

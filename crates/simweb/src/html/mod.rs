@@ -42,6 +42,20 @@ pub fn escape_attr(s: &str) -> String {
     out
 }
 
+/// Byte offset of the first ASCII-case-insensitive occurrence of `needle`
+/// in `haystack` — what `find` returns on both strings lowercased with
+/// `to_ascii_lowercase` — found without copying either string.
+pub fn find_ignore_ascii_case(haystack: &str, needle: &str) -> Option<usize> {
+    let (hay, pat) = (haystack.as_bytes(), needle.as_bytes());
+    let Some(&first) = pat.first() else {
+        return Some(0);
+    };
+    let first = first.to_ascii_lowercase();
+    (0..=hay.len().checked_sub(pat.len())?).find(|&i| {
+        hay[i].to_ascii_lowercase() == first && hay[i..i + pat.len()].eq_ignore_ascii_case(pat)
+    })
+}
+
 /// Decodes the named and numeric entities the generators emit.
 pub fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -105,11 +119,31 @@ mod tests {
         assert_eq!(unescape("&bogus;"), "&bogus;");
     }
 
+    #[test]
+    fn case_insensitive_find_matches_lowercased_find() {
+        assert_eq!(find_ignore_ascii_case("<p>View CART</p>", "cart"), Some(8));
+        assert_eq!(find_ignore_ascii_case("x</SCRIPT >", "</script"), Some(1));
+        assert_eq!(find_ignore_ascii_case("Çart cart", "cart"), Some(6));
+        assert_eq!(find_ignore_ascii_case("car", "cart"), None);
+        assert_eq!(find_ignore_ascii_case("", ""), Some(0));
+    }
+
     proptest! {
         #[test]
         fn escape_roundtrip(s in "[ -~]{0,60}") {
             prop_assert_eq!(unescape(&escape_text(&s)), s.clone());
             prop_assert_eq!(unescape(&escape_attr(&s)), s);
+        }
+
+        #[test]
+        fn case_insensitive_find_equals_lowercase_copy(
+            hay in "[a-dA-D<>/é ]{0,40}",
+            needle in "[a-dA-D</]{0,4}",
+        ) {
+            prop_assert_eq!(
+                find_ignore_ascii_case(&hay, &needle),
+                hay.to_ascii_lowercase().find(&needle.to_ascii_lowercase())
+            );
         }
     }
 }

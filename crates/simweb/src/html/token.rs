@@ -124,8 +124,7 @@ pub fn tokenize(input: &str) -> Vec<Token> {
                     // Capture raw content verbatim until the close tag.
                     let close_pat = format!("</{tag}");
                     let rest = &input[i..];
-                    let lower = rest.to_ascii_lowercase();
-                    match lower.find(&close_pat) {
+                    match super::find_ignore_ascii_case(rest, &close_pat) {
                         Some(e) => {
                             if e > 0 {
                                 tokens.push(Token::Text(rest[..e].to_owned()));

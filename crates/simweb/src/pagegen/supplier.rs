@@ -112,7 +112,12 @@ fn records_table(records: &[ShipRecord]) -> String {
 /// Parses a records table back out of portal HTML — shared by the scraper
 /// and the tests (one parser, no drift).
 pub fn parse_records(html: &str) -> Vec<ShipRecord> {
-    let doc = crate::html::Document::parse(html);
+    records_in(&crate::html::Document::parse(html))
+}
+
+/// [`parse_records`] over an already-parsed page, for callers that read
+/// more than the records table from it.
+pub fn records_in(doc: &crate::html::Document) -> Vec<ShipRecord> {
     let mut out = Vec::new();
     for tr in doc.find_all("tr") {
         if tr.attr("class") != Some("record") {
