@@ -21,7 +21,8 @@
 //!
 //! `--checkpoint` additionally exercises the state plane: the run drops
 //! a mid-window checkpoint, and the profile records its size on disk
-//! plus save/load wall clock.
+//! plus save/load wall clock. Every entry records the process's peak
+//! resident set (`VmHWM`, Linux only).
 
 use search_seizure::manifest::{CalibrationEntry, Headline, StageTiming};
 use search_seizure::{state, RunOptions, Study};
@@ -67,6 +68,9 @@ struct BenchProfile {
     checkpoint_bytes: Option<u64>,
     checkpoint_save_s: Option<f64>,
     checkpoint_load_s: Option<f64>,
+    /// Peak resident set of the whole process (standalone build, serve,
+    /// study and any checkpoint load), MiB; `None` off Linux.
+    peak_rss_mib: Option<f64>,
     /// Deterministic cost-profile rows (allocs/bytes/work units per
     /// phase; no wall clock) — what `repro bench-report` gates on.
     costs: serde::Value,
@@ -83,6 +87,21 @@ fn git_rev() -> String {
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())
+}
+
+/// This process's peak resident set in MiB, from the `VmHWM` line of
+/// `/proc/self/status`; `None` where that file does not exist.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
 }
 
 fn main() {
@@ -215,6 +234,7 @@ fn main() {
         checkpoint_bytes,
         checkpoint_save_s,
         checkpoint_load_s,
+        peak_rss_mib: peak_rss_mib(),
         costs: output.metrics.costs_value(),
     };
     if let (Some(b), Some(l)) = (profile.checkpoint_bytes, profile.checkpoint_load_s) {

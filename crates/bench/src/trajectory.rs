@@ -11,8 +11,9 @@
 //! compile/query counters, headline observables — are gated: an increase
 //! beyond the metric's tolerance (default 2%) is a regression and, with
 //! `--deny`, a non-zero exit. Wall-clock metrics (`*_wall_s`, qps,
-//! checkpoint timings) are reported for context but never gated — the
-//! machine's speed is not part of the contract.
+//! checkpoint timings) and the peak resident set are reported for context
+//! but never gated — the machine's speed and memory are not part of the
+//! contract.
 
 use serde::Value;
 
@@ -28,13 +29,16 @@ pub const DEFAULT_TOLERANCE: f64 = 0.02;
 /// get a little more headroom.
 const TOLERANCES: &[(&str, f64)] = &[("costs.", 0.02), ("costs_bytes.", 0.05)];
 
-/// Metric name prefixes that are wall-clock: reported, never gated.
+/// Metric name prefixes that depend on the machine (wall clock, and the
+/// resident set, which follows the allocator and the kernel): reported,
+/// never gated.
 const WALL_PREFIXES: &[&str] = &[
     "build_wall_s",
     "total_wall_s",
     "serve_qps",
     "checkpoint_save_s",
     "checkpoint_load_s",
+    "peak_rss_mib",
 ];
 
 fn lookup<'v>(map: &'v Value, key: &str) -> Option<&'v Value> {
@@ -337,6 +341,21 @@ mod tests {
         assert!(!wall.gated && !wall.regressed, "wall is never gated");
         // Identical runs: nothing regresses.
         assert!(compare(&base, &base).iter().all(|d| !d.regressed));
+    }
+
+    #[test]
+    fn peak_rss_is_reported_but_never_gated() {
+        let entry = |rss: f64| {
+            normalize_log(
+                parse_json(&format!(r#"{{"js_compiles": 62, "peak_rss_mib": {rss}}}"#)).unwrap(),
+            )
+        };
+        let deltas = compare(&entry(300.0), &entry(600.0));
+        let rss = deltas
+            .iter()
+            .find(|d| d.name == "peak_rss_mib")
+            .expect("rss row");
+        assert!(!rss.gated && !rss.regressed, "peak RSS is never gated");
     }
 
     #[test]

@@ -1010,6 +1010,24 @@ mod tests {
         assert_eq!(b.encode(), a.encode());
     }
 
+    /// Pins the tiny crawl's `crawler` frame (length and FNV-1a) after 10
+    /// crawl days at 1 thread, as the `world` frame golden pins the world:
+    /// the nested `crawl-db` and `js-cache` bytes cannot drift, and a
+    /// decoded crawler re-encodes to the same frame. Recorded on the
+    /// two-buffer framing with JS compiled at decode.
+    #[test]
+    fn crawler_frame_golden_tiny() {
+        let (_w, crawler) = crawl_world(10);
+        let frame = crawler.encode();
+        assert_eq!(
+            (frame.len(), ss_types::snapshot::fnv1a64(&frame)),
+            (447_650, 0xe846_084a_08a9_d871),
+            "tiny crawler frame drifted"
+        );
+        let back = Crawler::decode(&frame).expect("frame decodes");
+        assert!(back.encode() == frame, "re-encode differs");
+    }
+
     #[test]
     fn churn_trim_skips_known_clean_domains() {
         let (_w, crawler) = crawl_world(4);

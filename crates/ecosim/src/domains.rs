@@ -87,6 +87,17 @@ impl DomainTable {
         Self::default()
     }
 
+    /// An empty table with room for `n` domains.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        DomainTable {
+            name: Vec::with_capacity(n),
+            kind: Vec::with_capacity(n),
+            created: Vec::with_capacity(n),
+            seized: Vec::with_capacity(n),
+            by_name: std::collections::HashMap::with_capacity(n),
+        }
+    }
+
     /// Registers a domain; panics on duplicate names (world-generation bug).
     pub fn register(&mut self, name: DomainName, kind: SiteKind, created: SimDate) -> DomainId {
         let id = DomainId::from_index(self.name.len());

@@ -16,6 +16,7 @@
 //! span timings (excluded from the metrics registry's own snapshot).
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use ss_search::EngineOp;
 use ss_types::snapshot::{Reader, Snapshot, SnapshotError, Writer};
@@ -80,11 +81,15 @@ fn get_theme(r: &mut Reader<'_>) -> Result<LegitTheme, SnapshotError> {
 
 /// Resolves a brand string back to the `&'static str` the market tables
 /// own. Brand names live in static tables; state only ever references
-/// them, so the lookup is total for uncorrupted snapshots.
+/// them, so the lookup is total for uncorrupted snapshots. The brand
+/// universe is collected once per process, not once per legit domain.
 fn static_brand(name: &str) -> Result<&'static str, SnapshotError> {
-    ss_types::market::all_brands()
-        .into_iter()
-        .find(|b| *b == name)
+    static BRANDS: OnceLock<Vec<&'static str>> = OnceLock::new();
+    BRANDS
+        .get_or_init(ss_types::market::all_brands)
+        .iter()
+        .find(|b| **b == name)
+        .copied()
         .ok_or_else(|| SnapshotError::Corrupt(format!("unknown brand {name:?}")))
 }
 
@@ -130,7 +135,7 @@ fn get_site_kind(r: &mut Reader<'_>) -> Result<SiteKind, SnapshotError> {
     Ok(match r.get_u8()? {
         0 => {
             let theme = get_theme(r)?;
-            let brand = static_brand(&r.get_str()?)?;
+            let brand = static_brand(r.get_str_ref()?)?;
             SiteKind::Legit { theme, brand }
         }
         1 => SiteKind::Doorway {
@@ -468,11 +473,19 @@ impl Snapshot for DomainTable {
     }
 
     fn read_body(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let mut table = DomainTable::new();
-        for _ in 0..r.get_len()? {
-            let name = r.get_str()?;
-            let name = DomainName::parse(&name)
-                .map_err(|e| SnapshotError::Corrupt(format!("domain name {name:?}: {e}")))?;
+        // The shortest record is a 3-byte name with its 8-byte length, a
+        // kind byte, a date and an absent seizure: presize for the rows
+        // the remaining bytes could hold, never for a hostile count.
+        const MIN_RECORD: usize = 8 + 3 + 1 + 4 + 1;
+        let n = r.get_len()?;
+        let mut table = DomainTable::with_capacity(n.min(r.remaining() / MIN_RECORD));
+        for _ in 0..n {
+            let raw = r.get_str_ref()?;
+            let name = DomainName::parse(raw)
+                .map_err(|e| SnapshotError::Corrupt(format!("domain name {raw:?}: {e}")))?;
+            if table.lookup(&name).is_some() {
+                return Err(SnapshotError::Corrupt(format!("duplicate domain {name}")));
+            }
             let kind = get_site_kind(r)?;
             let created = r.get_date()?;
             let seized = r.get_opt(get_seizure)?;
@@ -628,7 +641,7 @@ impl Snapshot for World {
         world.domains = r.get_nested()?;
 
         world.verticals = r.get_seq(|r| {
-            let name = r.get_str()?;
+            let name = r.get_str_ref()?;
             let spec = ss_types::market::VERTICALS
                 .iter()
                 .find(|s| s.name == name)
@@ -641,14 +654,7 @@ impl Snapshot for World {
                 elite_prob: r.get_f64()?,
             })
         })?;
-        world.brand_names = {
-            let names = r.get_seq(|r| r.get_str())?;
-            let mut out = Vec::with_capacity(names.len());
-            for n in &names {
-                out.push(static_brand(n)?);
-            }
-            out
-        };
+        world.brand_names = r.get_seq(|r| static_brand(r.get_str_ref()?))?;
 
         world.campaigns = CampaignTable::read_rows(r)?;
         world.stores = StoreTable::read_rows(r)?;
@@ -674,7 +680,7 @@ impl Snapshot for World {
         world.event_trail = r.get_seq(|r| {
             Ok(TrailEvent {
                 day: r.get_date()?,
-                stage: static_stage(&r.get_str()?)?,
+                stage: static_stage(r.get_str_ref()?)?,
                 event: get_world_event(r)?,
             })
         })?;
@@ -741,6 +747,53 @@ mod tests {
         assert_eq!(a.state_fingerprint(), b.state_fingerprint());
         assert_eq!(a.events.all(), b.events.all());
         assert_eq!(a.event_trail, b.event_trail);
+    }
+
+    /// Encoding builds every nested frame inside the one output buffer,
+    /// so the allocation count is that buffer's doublings plus a few
+    /// sorted key lists (22–24 here, for frames of 0.33–0.55 MB): it
+    /// stays under a fixed bound as the tables grow, where one copy per
+    /// nested frame and one string per doc URL would not.
+    #[test]
+    fn world_encode_allocations_stay_fixed_as_rows_grow() {
+        let mut w = ticked_world(20);
+        let mut last_len = 0;
+        for _ in 0..3 {
+            let (a0, _, _) = ss_obs::thread_alloc_counts();
+            let frame = w.encode();
+            let allocs = ss_obs::thread_alloc_counts().0 - a0;
+            assert!(
+                allocs <= 40,
+                "{allocs} allocations for {} bytes",
+                frame.len()
+            );
+            assert!(frame.len() > last_len, "the tables did not grow");
+            last_len = frame.len();
+            for _ in 0..40 {
+                w.tick();
+            }
+        }
+    }
+
+    /// A hash-valid `domain-table` frame naming one domain twice is a
+    /// typed error, not a panic in `register`.
+    #[test]
+    fn duplicate_domain_is_a_typed_error() {
+        let frame =
+            ss_types::snapshot::encode_framed(DomainTable::TAG, DomainTable::VERSION, |w| {
+                w.put_len(2);
+                for _ in 0..2 {
+                    w.put_str("dup.com");
+                    put_site_kind(w, &SiteKind::Supplier);
+                    w.put_date(SimDate::from_day_index(3));
+                    w.put_opt(None, put_seizure);
+                }
+            });
+        match DomainTable::decode(&frame) {
+            Err(SnapshotError::Corrupt(why)) => assert!(why.contains("dup.com"), "{why}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a duplicate domain decoded"),
+        }
     }
 
     #[test]

@@ -216,6 +216,36 @@ mod tests {
         assert_eq!(paths, ["t"]);
     }
 
+    /// Merging under a metered scope reads the same heap columns whether
+    /// the destination is empty or already holds every key: the merge's
+    /// own bookkeeping counts nowhere.
+    #[test]
+    fn merge_under_a_metered_scope_is_independent_of_the_destination() {
+        let worker = Registry::new();
+        worker.count_with("fetch", &[("vertical", "bags")], 3);
+        worker.observe("latency", 40);
+        worker.record_cost("crawl/fetch", CostStats::default());
+        drop(worker.span("crawl.day"));
+        let merge_cost = |dest: &Registry| {
+            let probe = Registry::new();
+            drop(probe.cost_scope("warm"));
+            {
+                let _scope = probe.cost_scope("merge");
+                dest.merge_from(&worker);
+            }
+            let s = probe.cost_stats("merge").expect("merge row");
+            (s.allocs, s.bytes, s.frees)
+        };
+        let empty = Registry::new();
+        let full = Registry::new();
+        for _ in 0..3 {
+            full.merge_from(&worker);
+        }
+        let (into_empty, into_full) = (merge_cost(&empty), merge_cost(&full));
+        assert_eq!(into_empty, into_full);
+        assert_eq!(into_empty, (0, 0, 0), "the merge's bookkeeping was metered");
+    }
+
     #[test]
     fn wall_rows_stay_out_of_the_deterministic_exports() {
         use ss_types::snapshot::Snapshot;

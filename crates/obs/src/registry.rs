@@ -391,6 +391,9 @@ impl Registry {
     /// order or grouping produces the identical registry; the other
     /// registry's timeline is appended to this one's.
     pub fn merge_from(&self, other: &Registry) {
+        // Key clones and bank growth depend on what this registry already
+        // holds, so they must not count against an enclosing scope.
+        let _p = crate::alloc::pause_metering();
         {
             let theirs = other.counters.lock().expect("obs counters poisoned");
             let mut ours = self.counters.lock().expect("obs counters poisoned");
@@ -621,7 +624,7 @@ impl Snapshot for Registry {
         {
             let mut costs = reg.costs.lock().expect("obs costs poisoned");
             for _ in 0..r.get_len()? {
-                let path = cost::intern_path(&r.get_str()?);
+                let path = cost::intern_path(r.get_str_ref()?);
                 let mut s = CostStats {
                     enters: r.get_u64()?,
                     allocs: r.get_u64()?,

@@ -310,7 +310,7 @@ impl Snapshot for FlightRecorder {
         for _ in 0..n {
             let seq = r.get_u64()?;
             let day = r.get_u32()?;
-            let stage = static_stage(&r.get_str()?);
+            let stage = static_stage(r.get_str_ref()?);
             let entity = r.get_u64()?;
             let detail = r.get_str()?;
             events.push_back(TraceEvent {

@@ -25,6 +25,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrder};
 use std::sync::{Arc, Mutex};
 
@@ -1002,8 +1003,12 @@ impl Snapshot for SearchEngine {
             w.put_u32(t.vertical.0);
             w.put_str(&t.text);
         });
+        // One reused buffer formats every doc URL.
+        let mut url = String::new();
         w.put_seq(&self.index.docs, |w, d| {
-            w.put_str(&d.url.to_string());
+            url.clear();
+            write!(url, "{}", d.url).expect("formatting into a String");
+            w.put_str(&url);
             w.put_u32(d.domain.0);
             w.put_u32(d.term.0);
             w.put_f64(d.quality);
@@ -1043,7 +1048,7 @@ impl Snapshot for SearchEngine {
             })
         })?;
         let docs = r.get_seq(|r| {
-            let url = Url::parse(&r.get_str()?)
+            let url = Url::parse(r.get_str_ref()?)
                 .map_err(|e| SnapshotError::Corrupt(format!("doc url: {e}")))?;
             Ok(Doc {
                 url,

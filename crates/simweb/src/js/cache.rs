@@ -8,7 +8,9 @@
 //! lower differently); each entry keeps the full source so a hash
 //! collision is detected and served by an uncached compile instead of
 //! running the wrong script. Parse failures cache too — hostile pages
-//! with broken scripts are re-fetched all crawl long.
+//! with broken scripts are re-fetched all crawl long. A cache decoded
+//! from a checkpoint holds sources only; each entry compiles on its first
+//! hit.
 //!
 //! The `compiles`/`hits` counters are deterministic for a run regardless
 //! of thread count: lookups happen once per script execution, and the
@@ -35,11 +37,11 @@ pub(crate) enum CompileMode {
     Eval,
 }
 
-#[derive(Clone)]
 struct Entry {
     src: String,
-    /// Compiled chunk, or the parse error's display string.
-    result: Result<Arc<Chunk>, String>,
+    /// Compiled chunk, or the parse error's display string. Set at insert
+    /// on a miss; a decoded entry sets it on its first hit.
+    result: OnceLock<Result<Arc<Chunk>, String>>,
 }
 
 /// A concurrent source → bytecode cache with hit/compile counters.
@@ -90,7 +92,7 @@ impl JsCache {
         if let Some(e) = map.get(&key) {
             if e.src == src {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return e.result.clone();
+                return e.result.get_or_init(|| compile_src(src, mode)).clone();
             }
             // Hash collision: serve a one-off compile, leave the
             // incumbent entry in place.
@@ -103,7 +105,7 @@ impl JsCache {
             key,
             Entry {
                 src: src.to_owned(),
-                result: result.clone(),
+                result: OnceLock::from(result.clone()),
             },
         );
         result
@@ -116,8 +118,11 @@ impl Snapshot for JsCache {
 
     /// Serializes the cached script *sources* plus the compile/hit
     /// counters. Compiled chunks are not serialized — compilation is
-    /// deterministic, so decode recompiles each source and arrives at an
-    /// observably identical cache. The counters matter: the crawler
+    /// deterministic, so a decoded entry compiles its source on its first
+    /// hit (outside the `compiles` counter, which counted it when the
+    /// source first missed) and serves what the original served. Sources
+    /// the resumed run never meets again are never compiled. The counters
+    /// matter: the crawler
     /// records per-day compile/hit deltas into deterministic metrics, so
     /// a resumed run must continue from the checkpointed totals.
     fn write_body(&self, w: &mut Writer) {
@@ -156,8 +161,14 @@ impl Snapshot for JsCache {
                     }
                 };
                 let src = r.get_str()?;
-                let result = compile_src(&src, mode);
-                map.insert((mode, fnv64(src.as_bytes())), Entry { src, result });
+                let key = (mode, fnv64(src.as_bytes()));
+                map.insert(
+                    key,
+                    Entry {
+                        src,
+                        result: OnceLock::new(),
+                    },
+                );
             }
         }
         cache.compiles.store(r.get_u64()?, Ordering::Relaxed);
@@ -181,4 +192,57 @@ fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The decode this cache had before compiles became lazy: every
+    /// entry compiled at once. Kept as the oracle of the lazy one.
+    fn decode_eager(bytes: &[u8]) -> JsCache {
+        let cache = JsCache::decode(bytes).expect("js cache decodes");
+        for ((mode, _), e) in cache.map.lock().expect("js cache lock").iter() {
+            e.result.get_or_init(|| compile_src(&e.src, *mode));
+        }
+        cache
+    }
+
+    fn compiled_entries(cache: &JsCache) -> usize {
+        let map = cache.map.lock().expect("js cache lock");
+        map.values().filter(|e| e.result.get().is_some()).count()
+    }
+
+    #[test]
+    fn decoded_cache_compiles_on_first_hit() {
+        let sources = [
+            ("var a = 1; document.write('A' + a);", CompileMode::Main),
+            ("window.location = 'http://x.com/';", CompileMode::Main),
+            ("var = ((;", CompileMode::Main),
+            ("document.write('eval');", CompileMode::Eval),
+            ("var = ((;", CompileMode::Eval),
+        ];
+        let cache = JsCache::new();
+        for (src, mode) in sources {
+            cache.chunk_for(src, mode).ok();
+        }
+        cache.chunk_for(sources[0].0, sources[0].1).ok();
+        assert_eq!(cache.stats(), (5, 1));
+        let bytes = cache.encode();
+
+        let lazy = JsCache::decode(&bytes).expect("js cache decodes");
+        assert_eq!(compiled_entries(&lazy), 0, "decode compiled a script");
+        let eager = decode_eager(&bytes);
+        assert_eq!(compiled_entries(&eager), sources.len());
+        assert_eq!(lazy.stats(), eager.stats());
+
+        for (src, mode) in sources {
+            let (a, b) = (lazy.chunk_for(src, mode), eager.chunk_for(src, mode));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{mode:?} {src:?}");
+            assert_eq!(lazy.stats(), eager.stats(), "{mode:?} {src:?}");
+        }
+        assert_eq!(lazy.stats(), (5, 6), "every served source was a hit");
+        assert_eq!(compiled_entries(&lazy), sources.len());
+        assert!(lazy.encode() == eager.encode(), "the frames differ");
+    }
 }

@@ -72,8 +72,8 @@ impl Snapshot for Interner {
         let n = r.get_len()?;
         let mut table = Interner::default();
         for i in 0..n {
-            let s = r.get_str()?;
-            if table.intern(&s) != i as u32 {
+            let s = r.get_str_ref()?;
+            if table.intern(s) != i as u32 {
                 return Err(SnapshotError::Corrupt(format!(
                     "duplicate interned string {s:?}"
                 )));

@@ -29,7 +29,9 @@
 //!
 //! All integers are little-endian. Floats are encoded via their IEEE-754
 //! bit patterns so round-trips are exact. Nothing here allocates on the
-//! read path beyond the values being built.
+//! read path beyond the values being built, and a nested frame is built
+//! inside the buffer of the frame that encloses it: encoding a whole
+//! checkpoint grows one `Vec`.
 
 use std::fmt;
 
@@ -122,18 +124,8 @@ const MAGIC: &[u8; 4] = b"SSNP";
 /// run-level checkpoint is assembled from `&World`, `&Crawler`, …) can be
 /// framed without first constructing the owned decode-side type.
 pub fn encode_framed(tag: &str, version: u16, write_body: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    let mut body = Writer::new();
-    write_body(&mut body);
-    let body = body.into_bytes();
     let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC);
-    w.put_u16(tag.len() as u16);
-    w.buf.extend_from_slice(tag.as_bytes());
-    w.put_u16(version);
-    w.put_u64(body.len() as u64);
-    w.buf.extend_from_slice(&body);
-    let hash = fnv1a64(&w.buf);
-    w.put_u64(hash);
+    w.put_frame(tag, version, write_body);
     w.into_bytes()
 }
 
@@ -250,7 +242,47 @@ impl Writer {
     /// nested frame keeps its own tag/version/integrity hash, so nested
     /// corruption is attributed to the inner type.
     pub fn put_nested<T: Snapshot>(&mut self, v: &T) {
-        self.put_bytes(&v.encode());
+        self.put_nested_frame(T::TAG, T::VERSION, |w| v.write_body(w));
+    }
+
+    /// [`Writer::put_nested`] for any tag: the frame's `u64` length
+    /// prefix, then the frame itself, built in place.
+    fn put_nested_frame(&mut self, tag: &str, version: u16, write_body: impl FnOnce(&mut Writer)) {
+        let len_at = self.reserve_u64();
+        self.put_frame(tag, version, write_body);
+        self.patch_len(len_at);
+    }
+
+    /// Appends one whole frame, building it inside this buffer: the
+    /// header with a placeholder `body_len`, the body written through the
+    /// same writer, the patched length, then the FNV-1a of the frame's
+    /// own byte range. Nested frames therefore never live in a buffer of
+    /// their own and are never copied up a level.
+    fn put_frame(&mut self, tag: &str, version: u16, write_body: impl FnOnce(&mut Writer)) {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(MAGIC);
+        self.put_u16(tag.len() as u16);
+        self.buf.extend_from_slice(tag.as_bytes());
+        self.put_u16(version);
+        let len_at = self.reserve_u64();
+        write_body(self);
+        self.patch_len(len_at);
+        let hash = fnv1a64(&self.buf[start..]);
+        self.put_u64(hash);
+    }
+
+    /// Writes a zero `u64` to patch later; returns its offset.
+    fn reserve_u64(&mut self) -> usize {
+        let at = self.buf.len();
+        self.put_u64(0);
+        at
+    }
+
+    /// Overwrites the `u64` reserved at `at` with the number of bytes
+    /// written after it.
+    fn patch_len(&mut self, at: usize) {
+        let n = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&n.to_le_bytes());
     }
 }
 
@@ -350,9 +382,14 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, SnapshotError> {
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string as a slice of the input, for
+    /// strings that are parsed or looked up at once rather than kept.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, SnapshotError> {
         let n = self.get_len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(n)?)
             .map_err(|_| SnapshotError::Corrupt("non-UTF-8 string".into()))
     }
 
@@ -630,6 +667,165 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_len().unwrap_err(), SnapshotError::Truncated);
+    }
+}
+
+/// The two-buffer framing the in-place writer replaced, kept as its
+/// byte-equality oracle: each body is encoded into a fresh `Vec`, framed
+/// into a second one, and a nested frame is then copied into its parent.
+#[cfg(test)]
+mod framing_oracle {
+    use super::*;
+    use crate::rng::{sub_rng, SimRng};
+    use rand::Rng;
+
+    fn encode_framed_two_buffer(
+        tag: &str,
+        version: u16,
+        write_body: impl FnOnce(&mut Writer),
+    ) -> Vec<u8> {
+        let mut body = Writer::new();
+        write_body(&mut body);
+        let body = body.into_bytes();
+        let mut w = Writer::new();
+        w.buf.extend_from_slice(MAGIC);
+        w.put_u16(tag.len() as u16);
+        w.buf.extend_from_slice(tag.as_bytes());
+        w.put_u16(version);
+        w.put_u64(body.len() as u64);
+        w.buf.extend_from_slice(&body);
+        let hash = fnv1a64(&w.buf);
+        w.put_u64(hash);
+        w.into_bytes()
+    }
+
+    /// A random frame: its body interleaves raw byte runs with nested
+    /// child frames.
+    struct Frame {
+        tag: String,
+        version: u16,
+        body: Vec<Part>,
+    }
+
+    enum Part {
+        Bytes(Vec<u8>),
+        Child(Frame),
+    }
+
+    /// Nesting depth ≤ 3 below the root; a quarter of the bodies are
+    /// empty, and tag lengths run from 0 past 2,000 bytes, non-ASCII
+    /// included.
+    fn random_frame(rng: &mut SimRng, depth: u32) -> Frame {
+        let tag_len = match rng.gen_range(0..4) {
+            0 => 0,
+            1 => rng.gen_range(1..12),
+            2 => rng.gen_range(12..80),
+            _ => rng.gen_range(200..2_200),
+        };
+        let tag = (0..tag_len)
+            .map(|_| ['a', 'z', '-', 'é', '日'][rng.gen_range(0..5)])
+            .collect();
+        let parts = if rng.gen_range(0..4) == 0 {
+            0
+        } else {
+            rng.gen_range(1..6)
+        };
+        let body = (0..parts)
+            .map(|_| {
+                if depth < 3 && rng.gen_bool(0.5) {
+                    Part::Child(random_frame(rng, depth + 1))
+                } else {
+                    let n = rng.gen_range(0..48);
+                    Part::Bytes((0..n).map(|_| rng.gen()).collect())
+                }
+            })
+            .collect();
+        Frame {
+            tag,
+            version: rng.gen(),
+            body,
+        }
+    }
+
+    fn write_in_place(w: &mut Writer, body: &[Part]) {
+        for part in body {
+            match part {
+                Part::Bytes(b) => w.put_bytes(b),
+                Part::Child(f) => w.put_nested_frame(&f.tag, f.version, |w| {
+                    write_in_place(w, &f.body);
+                }),
+            }
+        }
+    }
+
+    fn write_two_buffer(w: &mut Writer, body: &[Part]) {
+        for part in body {
+            match part {
+                Part::Bytes(b) => w.put_bytes(b),
+                Part::Child(f) => w.put_bytes(&encode_framed_two_buffer(&f.tag, f.version, |w| {
+                    write_two_buffer(w, &f.body);
+                })),
+            }
+        }
+    }
+
+    fn check(seed: u64) {
+        let root = random_frame(&mut sub_rng(seed, "framing-oracle"), 0);
+        let in_place = encode_framed(&root.tag, root.version, |w| write_in_place(w, &root.body));
+        let oracle = encode_framed_two_buffer(&root.tag, root.version, |w| {
+            write_two_buffer(w, &root.body);
+        });
+        assert!(in_place == oracle, "seed {seed}: in-place frame differs");
+        let (framed, trailer) = in_place.split_at(in_place.len() - 8);
+        assert_eq!(fnv1a64(framed).to_le_bytes(), trailer, "seed {seed}");
+    }
+
+    #[test]
+    fn trait_frames_match_the_two_buffer_oracle() {
+        struct Leaf(Vec<u8>);
+        impl Snapshot for Leaf {
+            const TAG: &'static str = "leaf";
+            const VERSION: u16 = 7;
+            fn write_body(&self, w: &mut Writer) {
+                w.put_bytes(&self.0);
+            }
+            fn read_body(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+                Ok(Leaf(r.get_bytes()?.to_vec()))
+            }
+        }
+        for leaf in [Leaf(Vec::new()), Leaf(vec![1, 2, 3])] {
+            let mut w = Writer::new();
+            w.put_u8(5);
+            w.put_nested(&leaf);
+            let mut oracle = Writer::new();
+            oracle.put_u8(5);
+            oracle.put_bytes(&encode_framed_two_buffer(Leaf::TAG, Leaf::VERSION, |w| {
+                leaf.write_body(w);
+            }));
+            assert_eq!(w.into_bytes(), oracle.into_bytes());
+            assert_eq!(
+                leaf.encode(),
+                encode_framed_two_buffer(Leaf::TAG, Leaf::VERSION, |w| leaf.write_body(w))
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// In-place framing writes the oracle's bytes on random nested
+        /// payloads.
+        #[test]
+        fn in_place_framing_matches_two_buffer_oracle(seed: u64) {
+            check(seed);
+        }
+    }
+
+    /// The same property over 10,000 seeds (CI runs it in release).
+    #[test]
+    #[ignore = "deep sweep; CI runs it in release via --include-ignored"]
+    fn in_place_framing_deep_sweep() {
+        for seed in 0..10_000 {
+            check(seed);
+        }
     }
 }
 
