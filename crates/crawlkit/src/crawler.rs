@@ -46,12 +46,16 @@
 //! traffic out of the deterministic columns: that traffic is the growth
 //! of the database's containers and of the caller's registry, whose
 //! capacities depend on history a checkpoint restore does not reproduce.
+//! A worker's per-result loop runs in the work-only `crawl/results`
+//! scope the same way, so the time it spends outside the metered fetch,
+//! render and detect scopes has a row of its own.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use ss_obs::{FlightRecorder, Registry, TraceLevel};
+use ss_search::DocPage;
 use ss_types::snapshot::{Reader, Snapshot, SnapshotError, Writer};
 use ss_types::{SimDate, Url};
 use ss_web::http::{Fetcher, Request, UserAgent};
@@ -573,6 +577,10 @@ fn crawl_vertical(
     let mut events: Vec<CrawlEvent> = Vec::new();
     let mut renders_reused = 0u64;
 
+    // The per-result loop's own work (SERP reads, overlay lookups, URL and
+    // event building) gets a work-only row of its own; the metered fetch,
+    // render, detect and PSR-log scopes nest inside it.
+    let results_scope = metrics.work_scope("crawl/results");
     for term in &mv.terms {
         let Some(serp) = query_by_text(world, term, day, cfg.serp_depth) else {
             continue;
@@ -582,12 +590,11 @@ fn crawl_vertical(
         ss_obs::observe!(metrics, "crawl.serp_results", results.len());
         for hit in results {
             let (rank, labeled) = (hit.rank, hit.hacked_label);
-            let url = &world.engine.doc(hit.doc).url;
             count.total_seen += 1;
             if rank <= 10 {
                 count.top10_seen += 1;
             }
-            let name = url.host.as_str();
+            let name = world.domains.get(hit.domain).name.as_str();
 
             let prior = match local_poisoned.get(name) {
                 Some(&signal) => Prior::Poisoned(signal, None),
@@ -606,6 +613,7 @@ fn crawl_vertical(
                 if day.days_since(last_verified) >= i64::from(cfg.reverify_days) {
                     ss_obs::count!(metrics, "crawl.fetches", 1, vertical = vertical);
                     ss_obs::count!(metrics, "crawl.reverifies", 1, vertical = vertical);
+                    let url = &world.doc_url(hit.doc);
                     let verdict = match signal {
                         CloakSignal::Iframe => vangogh::check_with(
                             world,
@@ -646,6 +654,7 @@ fn crawl_vertical(
                 // a rendering pass when Dagger stays quiet.
                 ss_obs::count!(metrics, "crawl.fetches", 2, vertical = vertical);
                 ss_obs::count!(metrics, "crawl.detector_runs", 1, vertical = vertical);
+                let url = &world.doc_url(hit.doc);
                 let mut verdict =
                     dagger::check_with(world, url, term, cfg.max_hops, None, js_cache, &metrics);
                 if verdict.cloaked.is_none() && cfg.render_sample > 0 {
@@ -719,12 +728,13 @@ fn crawl_vertical(
                     term: term.clone(),
                     rank: rank.min(255) as u8,
                     domain: name.to_owned(),
-                    is_root: url.is_root_page(),
+                    is_root: world.engine.doc(hit.doc).page == DocPage::Root,
                     labeled,
                 });
             }
         }
     }
+    drop(results_scope);
     if renders_reused > 0 {
         ss_obs::count!(
             metrics,
@@ -757,15 +767,15 @@ fn crawl_vertical(
 fn visit_store(world: &World, landing: &Url, metrics: &Registry, vertical: &str) -> CrawlEvent {
     ss_obs::count!(metrics, "crawl.fetches", 1, vertical = vertical);
     ss_obs::count!(metrics, "crawl.store_visits", 1, vertical = vertical);
-    let root = Url::root(landing.host.clone());
+    let req = Request {
+        url: Url::root(landing.host.clone()),
+        user_agent: UserAgent::Browser,
+        referrer: Some(dagger::google_referrer("landing")),
+    };
     let (resp, _) = {
         let _fetch = metrics.cost_scope("crawl/fetch");
         ss_obs::charge(ss_obs::WorkKind::DocsFetched, 1);
-        world.fetch(&Request {
-            url: root,
-            user_agent: UserAgent::Browser,
-            referrer: Some(dagger::google_referrer("landing")),
-        })
+        world.fetch(&req)
     };
     let domain = landing.host.as_str().to_owned();
     let notice = {
@@ -1013,15 +1023,17 @@ mod tests {
     /// Pins the tiny crawl's `crawler` frame (length and FNV-1a) after 10
     /// crawl days at 1 thread, as the `world` frame golden pins the world:
     /// the nested `crawl-db` and `js-cache` bytes cannot drift, and a
-    /// decoded crawler re-encodes to the same frame. Recorded on the
-    /// two-buffer framing with JS compiled at decode.
+    /// decoded crawler re-encodes to the same frame. The length was
+    /// recorded on the two-buffer framing with JS compiled at decode; the
+    /// digest moved, and the length did not, when frames took the `SSN2`
+    /// magic and the word-wise frame hash.
     #[test]
     fn crawler_frame_golden_tiny() {
         let (_w, crawler) = crawl_world(10);
         let frame = crawler.encode();
         assert_eq!(
             (frame.len(), ss_types::snapshot::fnv1a64(&frame)),
-            (447_650, 0xe846_084a_08a9_d871),
+            (447_650, 0xd4fe_1790_66e7_0e70),
             "tiny crawler frame drifted"
         );
         let back = Crawler::decode(&frame).expect("frame decodes");

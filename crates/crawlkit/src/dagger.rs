@@ -18,7 +18,8 @@
 use std::collections::HashSet;
 
 use ss_obs::{charge, Registry, WorkKind};
-use ss_types::Url;
+use ss_types::url::Scheme;
+use ss_types::{DomainName, Url};
 use ss_web::http::{Fetcher, Request, Response, UserAgent};
 use ss_web::js::render::Rendered;
 use ss_web::js::JsCache;
@@ -61,11 +62,12 @@ pub struct DaggerVerdict {
 /// The Google referrer the detector presents (§4.1.2's "as a user" fetch
 /// models a click-through from a results page).
 pub fn google_referrer(term: &str) -> Url {
-    Url::parse(&format!(
-        "http://google.com/search?q={}",
-        ss_types::url::encode_component(term)
-    ))
-    .expect("static referrer URL is valid")
+    Url {
+        scheme: Scheme::Http,
+        host: DomainName::parse("google.com").expect("static referrer host is valid"),
+        path: "/search".to_owned(),
+        query: format!("q={}", ss_types::url::encode_component(term)),
+    }
 }
 
 /// Word-set Dice coefficient between two documents' visible text.
@@ -344,5 +346,21 @@ mod tests {
         assert!((text_dice("", "") - 1.0).abs() < 1e-12);
         let half = text_dice("a b c d", "c d e f");
         assert!((half - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn referrer_built_from_parts_equals_the_parsed_url() {
+        for term in ["landing", "cheap louis vuitton", "uggs & co", "", "é/ü?"] {
+            let parsed = Url::parse(&format!(
+                "http://google.com/search?q={}",
+                ss_types::url::encode_component(term)
+            ))
+            .unwrap();
+            assert_eq!(google_referrer(term), parsed, "{term:?}");
+            assert_eq!(
+                google_referrer(term).query_param("q").as_deref(),
+                Some(term)
+            );
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! only to public interfaces: SERPs, `site:` queries, suggest, and fetch.
 
 use rand::seq::SliceRandom;
-use ss_search::RankedSerp;
+use ss_search::{DocPage, RankedSerp};
 use ss_types::rng::sub_rng;
 use ss_types::SimDate;
 
@@ -67,19 +67,18 @@ pub fn doorway_extraction_terms(
             continue;
         };
         for hit in serp.results() {
-            let url = &world.engine.doc(hit.doc).url;
             // Probe with Dagger; only confirmed-cloaked doorways are mined.
-            let verdict = crate::dagger::check(world, url, &q, 5);
+            let verdict = crate::dagger::check(world, &world.doc_url(hit.doc), &q, 5);
             if verdict.cloaked.is_none() {
                 continue;
             }
-            // `site:` query over the doorway, keyword out of each URL.
-            if let Some(domain_id) = world.domains.lookup(&url.host) {
-                for doc in world.engine.site_query(domain_id) {
-                    if let Some(term) = doc.url.query_param("key") {
-                        if !pool.contains(&term) {
-                            pool.push(term);
-                        }
+            // `site:` query over the doorway, keyword out of each keyword
+            // page (`?key=…`, whose key is the page's term).
+            for doc in world.engine.site_query(hit.domain) {
+                if doc.page == DocPage::TermKey {
+                    let term = world.term_text(doc.term);
+                    if !pool.iter().any(|t| t == term) {
+                        pool.push(term.to_owned());
                     }
                 }
             }
@@ -193,9 +192,9 @@ pub fn select_all(
 /// Reads go through the published [`ss_search::EngineEpoch`] — the same
 /// immutable snapshot the traffic planner queried when the day was
 /// committed, so the crawler's `(term, day)` keys are usually warm cache
-/// hits. The SERP holds ids only; callers borrow each result's URL from
-/// the engine's doc table (`world.engine.doc(hit.doc).url`) instead of
-/// cloning it.
+/// hits. The SERP holds ids only: a result's host is its domain's name,
+/// and callers that fetch the page build its URL with
+/// [`World::doc_url`].
 pub fn query_by_text(world: &World, text: &str, day: SimDate, k: usize) -> Option<RankedSerp> {
     let term = world.engine.term_id(text)?;
     Some(world.engine.epoch().ranked(term, day, k))

@@ -9,6 +9,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use ss_search::DocPage;
 use ss_types::market::{self, CampaignSpec};
 use ss_types::rng::{derive_seed, sub_rng, SimRng};
 use ss_types::{
@@ -175,16 +176,18 @@ fn build_legit_web(w: &mut World) {
             for slot in 0..per_term {
                 let domain = pool[next % pool.len()];
                 next += 1;
-                let host = w.domains.get(domain).name.clone();
-                let url = if slot == 0 {
-                    ss_types::Url::root(host)
+                let page = if slot == 0 {
+                    DocPage::Root
                 } else {
-                    ss_types::Url::new(host, &format!("/page/{}", rng.gen_range(0..10_000)), "")
+                    // Drawn as the `i32` the formatted path drew, so
+                    // every later draw of the generator is unchanged.
+                    let n: i32 = rng.gen_range(0..10_000);
+                    DocPage::Page(u16::try_from(n).expect("page numbers are below 10,000"))
                 };
                 let quality = rng.gen_range(0.2..0.95);
                 let relevance = rng.gen_range(0.4..0.9);
                 w.engine
-                    .index_page(term, url, domain, quality, relevance, SimDate::EPOCH);
+                    .index_page(term, page, domain, quality, relevance, SimDate::EPOCH);
             }
         }
     }
@@ -422,22 +425,16 @@ fn create_doorways(w: &mut World, campaign: CampaignId, n_doorways: usize, rng: 
                 terms.push(t);
             }
         }
-        let host = w.domains.get(domain).name.clone();
         for (i, &t) in terms.iter().enumerate() {
-            let text = w.engine.terms()[t.index()].text.clone();
-            let url = if i == 0 {
-                ss_types::Url::root(host.clone())
+            let page = if i == 0 {
+                DocPage::Root
             } else {
-                ss_types::Url::new(
-                    host.clone(),
-                    "/",
-                    &format!("key={}", ss_types::url::encode_component(&text)),
-                )
+                DocPage::TermKey
             };
             let quality = rng.gen_range(0.05..0.3);
             let relevance = rng.gen_range(0.55..0.85);
             w.engine
-                .index_page(t, url, domain, quality, relevance, live_from);
+                .index_page(t, page, domain, quality, relevance, live_from);
         }
         w.campaigns.push_doorway(
             campaign,
@@ -792,7 +789,7 @@ mod tests {
         let pages = w.engine.site_query(d.domain);
         assert!(!pages.is_empty());
         assert!(
-            pages.iter().any(|p| p.url.is_root_page()),
+            pages.iter().any(|p| p.page == DocPage::Root),
             "first term should be indexed at the root"
         );
     }

@@ -12,11 +12,12 @@
 use std::collections::BTreeMap;
 
 use ss_types::market::VerticalSpec;
+use ss_types::url::{self, Scheme};
 use ss_types::{
     BrandId, CampaignId, DomainId, DoorwayId, FirmId, SimDate, StoreId, TermId, Url, VerticalId,
 };
 
-use ss_search::SearchEngine;
+use ss_search::{DocId, DocPage, SearchEngine};
 use ss_web::cloak::{self, CloakMode, ServeDecision};
 use ss_web::http::{Fetcher, Request, Response, SideEffect, Web};
 use ss_web::pagegen::storefront::StoreTemplate;
@@ -203,6 +204,28 @@ impl World {
     /// Convenience: the term text for a term id.
     pub fn term_text(&self, term: TermId) -> &str {
         &self.engine.terms()[term.index()].text
+    }
+
+    /// The URL of an indexed page, built from its parts: the owning
+    /// domain's name, the page's path, and for a keyword page its term's
+    /// text as the `key` parameter. The engine stores no names, so only
+    /// code that fetches a page builds its URL.
+    pub fn doc_url(&self, id: DocId) -> Url {
+        let doc = self.engine.doc(id);
+        let (path, query) = match doc.page {
+            DocPage::Root => ("/".to_owned(), String::new()),
+            DocPage::Page(n) => (format!("/page/{n}"), String::new()),
+            DocPage::TermKey => (
+                "/".to_owned(),
+                format!("key={}", url::encode_component(self.term_text(doc.term))),
+            ),
+        };
+        Url {
+            scheme: Scheme::Http,
+            host: self.domains.get(doc.domain).name.clone(),
+            path,
+            query,
+        }
     }
 
     /// Whether `campaign` can settle payments on `day` under the payment
@@ -750,9 +773,9 @@ mod tests {
         for v in &w.verticals {
             for &t in &v.terms {
                 let serp = w.engine.serp(t, day, w.cfg.scale.serp_depth);
-                total += serp.results.len();
+                total += serp.results().len();
                 poisoned += serp
-                    .results
+                    .results()
                     .iter()
                     .filter(|r| w.doorway_truth(r.domain).is_some())
                     .count();
@@ -933,6 +956,67 @@ mod tests {
         assert_eq!(ta, tb);
         assert_eq!(a.events.all().len(), b.events.all().len());
         assert_eq!(a.supplier.records.len(), b.supplier.records.len());
+    }
+}
+
+/// `World::doc_url` against the URLs the index stored before docs became
+/// ids: the digests below were read from that doc table.
+#[cfg(test)]
+mod doc_url_tests {
+    use super::*;
+    use crate::scenario::ScenarioConfig;
+    use ss_types::snapshot::fnv1a64;
+
+    /// Doc count and FNV-1a of every doc URL, in doc order, each one
+    /// followed by `\n`.
+    fn doc_url_digest(w: &World) -> (usize, u64) {
+        let n = w.engine.doc_count();
+        let lines: String = (0..n)
+            .map(|i| format!("{}\n", w.doc_url(DocId(i as u32))))
+            .collect();
+        (n, fnv1a64(lines.as_bytes()))
+    }
+
+    #[test]
+    fn doc_urls_equal_the_stored_urls_tiny() {
+        let w = World::build(ScenarioConfig::tiny(2014)).unwrap();
+        assert_eq!(doc_url_digest(&w), (2_242, 0x2e84_6599_14a1_9173));
+        let mut shapes = [0usize; 3];
+        for i in 0..w.engine.doc_count() {
+            let id = DocId(i as u32);
+            let doc = w.engine.doc(id);
+            let url = w.doc_url(id);
+            let term = w.term_text(doc.term);
+            assert_eq!(&url.host, w.domains.get(doc.domain).name, "{url}");
+            assert_eq!(doc.page == DocPage::Root, url.is_root_page(), "{url}");
+            let numbered = url.path.starts_with("/page/") && url.query.is_empty();
+            match doc.page {
+                DocPage::Page(n) => assert!(numbered && url.path == format!("/page/{n}"), "{url}"),
+                _ => assert!(!numbered, "{url}"),
+            }
+            assert_eq!(
+                doc.page == DocPage::TermKey,
+                url.query_param("key").as_deref() == Some(term),
+                "{url}"
+            );
+            assert_eq!(Url::parse(&url.to_string()).unwrap(), url);
+            shapes[match doc.page {
+                DocPage::Root => 0,
+                DocPage::Page(_) => 1,
+                DocPage::TermKey => 2,
+            }] += 1;
+        }
+        assert!(
+            shapes.iter().all(|&n| n > 0),
+            "every page shape is indexed: {shapes:?}"
+        );
+    }
+
+    #[test]
+    #[ignore = "builds the paper world; CI runs it in release"]
+    fn doc_urls_equal_the_stored_urls_paper() {
+        let w = World::build(ScenarioConfig::paper(1)).unwrap();
+        assert_eq!(doc_url_digest(&w), (565_636, 0x36df_6921_e359_c17e));
     }
 }
 

@@ -223,7 +223,9 @@ fn run(cfg: ScenarioConfig, threads: usize, until: u32) -> World {
 }
 
 /// The fingerprint golden was recorded on the nested-struct (pre-table)
-/// implementation; the frame golden pins the `world` v1 checkpoint layout.
+/// implementation; the frame golden pins the `world` v1 checkpoint layout
+/// with its nested `search-engine` v2 frame (docs as page shapes) and the
+/// word-wise frame hash.
 #[test]
 fn state_fingerprint_golden_tiny() {
     for threads in [1usize, 2, 8] {
@@ -236,7 +238,7 @@ fn state_fingerprint_golden_tiny() {
         let frame = w.encode();
         assert_eq!(
             (frame.len(), fnv1a64(&frame)),
-            (1_004_186, 0xabe2d8664297a41a),
+            (904_438, 0xbe79_2325_b322_63a3),
             "tiny world frame drifted at threads={threads}"
         );
         let restored = World::decode(&frame).expect("frame decodes");

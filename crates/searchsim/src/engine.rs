@@ -14,7 +14,7 @@
 //! apply), so a SERP is one streaming pass plus a top-k heap that only
 //! adds the per-(doc, day) jitter, instead of scoring and fully sorting
 //! every posting. Built SERPs are cached per `(term, day)` within an
-//! epoch and shared by reference ([`RankedSerp`] holds ids, not URLs).
+//! epoch and shared by reference ([`RankedSerp`] holds ids only).
 //! A mutation that actually changes ranking state invalidates the epoch;
 //! bitwise no-op mutations (the common case — juice re-asserted at its
 //! current level every day) keep the epoch and its cache alive.
@@ -25,13 +25,12 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrder};
 use std::sync::{Arc, Mutex};
 
 use ss_types::rng::{mix, unit_f64};
 use ss_types::snapshot::{fnv1a64, Reader, Snapshot, SnapshotError, Writer};
-use ss_types::{DomainId, SimDate, TermId, Url, VerticalId};
+use ss_types::{DomainId, SimDate, TermId, VerticalId};
 
 /// A document id, dense per engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,11 +45,25 @@ pub struct TermRecord {
     pub text: String,
 }
 
+/// The shape of an indexed page's URL. A doc stores which shape it is,
+/// never the URL itself: the host is the owning domain's name and a
+/// keyword page's key is its term's text, so whoever holds the domain
+/// table can build the URL when a page is actually fetched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DocPage {
+    /// The site root, `/` (the only page the hacked label marks, §5.2.2).
+    Root,
+    /// A numbered sub-page, `/page/{n}`.
+    Page(u16),
+    /// A doorway keyword page, `/?key={term}` (§4.1.1).
+    TermKey,
+}
+
 /// One indexed page, attached to exactly one term's posting list.
 #[derive(Debug, Clone)]
 pub struct Doc {
-    /// The result URL.
-    pub url: Url,
+    /// The page's URL shape on its domain.
+    pub page: DocPage,
     /// Owning registered domain.
     pub domain: DomainId,
     /// The term whose postings this document sits in.
@@ -63,34 +76,8 @@ pub struct Doc {
     pub first_indexed: SimDate,
 }
 
-/// One search result as the engine presents it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SearchResult {
-    /// 1-based rank.
-    pub rank: u32,
-    /// Result URL.
-    pub url: Url,
-    /// Owning domain.
-    pub domain: DomainId,
-    /// Whether the result carries the "This site may be hacked" label.
-    /// Under the root-only policy (§5.2.2) this is set only on the result
-    /// whose URL is the site root, even when the whole domain is flagged.
-    pub hacked_label: bool,
-}
-
-/// A search-engine results page: the top-k results for one term on one day.
-#[derive(Debug, Clone)]
-pub struct Serp {
-    /// The queried term.
-    pub term: TermId,
-    /// The day of the query.
-    pub day: SimDate,
-    /// Results in rank order.
-    pub results: Vec<SearchResult>,
-}
-
-/// One SERP hit as the epoch stores it: ids only, no URL clone on the hot
-/// path. Resolve URLs at report/PSR boundaries via [`SearchEngine::doc`].
+/// One SERP hit: ids only. A page's URL is built from its [`Doc`] and
+/// the world's domain table where the page is fetched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankedHit {
     /// 1-based rank.
@@ -105,7 +92,7 @@ pub struct RankedHit {
 
 /// An id-based SERP served by an [`EngineEpoch`]. The hit vector is shared
 /// by reference with the epoch's `(term, day)` cache, so handing one out
-/// costs an `Arc` clone, not a per-result URL clone.
+/// costs an `Arc` clone.
 #[derive(Debug, Clone)]
 pub struct RankedSerp {
     /// The queried term.
@@ -166,7 +153,7 @@ struct EngineIndex {
     /// Per-doc owning domain: a compact copy of `Doc::domain` for the
     /// walk, which never touches the doc table.
     domain: Vec<DomainId>,
-    /// Precomputed `url.is_root_page()` per doc (hacked-label policy).
+    /// Whether each doc is its site's root page (hacked-label policy).
     root_page: Vec<bool>,
 }
 
@@ -536,7 +523,7 @@ impl SearchEngine {
         let mut by_domain: Vec<Vec<DocId>> = Vec::new();
         let mut root_page = Vec::with_capacity(docs.len());
         for (i, d) in docs.iter().enumerate() {
-            root_page.push(d.url.is_root_page());
+            root_page.push(d.page == DocPage::Root);
             if by_domain.len() <= d.domain.index() {
                 by_domain.resize(d.domain.index() + 1, Vec::new());
             }
@@ -686,11 +673,11 @@ impl SearchEngine {
         self.index.terms.len()
     }
 
-    /// Indexes a page into a term's postings.
+    /// Indexes a page of `domain` into a term's postings.
     pub fn index_page(
         &mut self,
         term: TermId,
-        url: Url,
+        page: DocPage,
         domain: DomainId,
         quality: f64,
         relevance: f64,
@@ -699,10 +686,10 @@ impl SearchEngine {
         self.invalidate_epoch();
         let index = Arc::make_mut(&mut self.index);
         let id = DocId(index.docs.len() as u32);
-        index.root_page.push(url.is_root_page());
+        index.root_page.push(page == DocPage::Root);
         index.domain.push(domain);
         index.docs.push(Doc {
-            url,
+            page,
             domain,
             term,
             quality,
@@ -834,32 +821,11 @@ impl SearchEngine {
             + jitter(self.seed, self.jitter_amp, doc, day)
     }
 
-    /// Produces the top-`k` SERP for `term` on `day` through the current
-    /// epoch (publishing one if needed), resolving result URLs at this
-    /// boundary. Hot paths should hold an [`EngineEpoch`] and consume
-    /// [`RankedSerp`]s instead.
-    pub fn serp(&self, term: TermId, day: SimDate, k: usize) -> Serp {
-        let ranked = self.epoch().ranked(term, day, k);
-        self.resolve(&ranked)
-    }
-
-    /// Resolves an id-based SERP into URL-carrying results (report/PSR
-    /// boundary).
-    pub fn resolve(&self, ranked: &RankedSerp) -> Serp {
-        Serp {
-            term: ranked.term,
-            day: ranked.day,
-            results: ranked
-                .results()
-                .iter()
-                .map(|h| SearchResult {
-                    rank: h.rank,
-                    url: self.index.docs[h.doc.0 as usize].url.clone(),
-                    domain: h.domain,
-                    hacked_label: h.hacked_label,
-                })
-                .collect(),
-        }
+    /// The top-`k` SERP for `term` on `day` through the current epoch
+    /// (publishing one if needed). Hot paths hold an [`EngineEpoch`] and
+    /// call [`EngineEpoch::ranked`] directly.
+    pub fn serp(&self, term: TermId, day: SimDate, k: usize) -> RankedSerp {
+        self.epoch().ranked(term, day, k)
     }
 
     /// The bounded walk without epoch, cache, or counter traffic — for
@@ -882,7 +848,7 @@ impl SearchEngine {
     /// the pre-query-plane algorithm, kept as the differential-test
     /// oracle for the epoch walk.
     #[cfg(test)]
-    pub(crate) fn serp_full_scan(&self, term: TermId, day: SimDate, k: usize) -> Serp {
+    pub(crate) fn serp_full_scan(&self, term: TermId, day: SimDate, k: usize) -> Vec<RankedHit> {
         let mut scored: Vec<(f64, DocId)> = self.index.postings[term.index()]
             .iter()
             .filter(|d| self.index.docs[d.0 as usize].first_indexed <= day)
@@ -893,7 +859,7 @@ impl SearchEngine {
             })
             .collect();
         scored.sort_by(|a, b| better_first(&(a.0, a.1), &(b.0, b.1)));
-        let results = scored
+        scored
             .into_iter()
             .take(k)
             .enumerate()
@@ -905,16 +871,15 @@ impl SearchEngine {
                     .get(&doc.domain)
                     .map(|since| *since <= day)
                     .unwrap_or(false)
-                    && doc.url.is_root_page();
-                SearchResult {
+                    && doc.page == DocPage::Root;
+                RankedHit {
                     rank: (i + 1) as u32,
-                    url: doc.url.clone(),
+                    doc: d,
                     domain: doc.domain,
                     hacked_label: labeled,
                 }
             })
-            .collect();
-        Serp { term, day, results }
+            .collect()
     }
 
     /// `site:` query — every indexed page of `domain` (§4.1.1 uses this to
@@ -994,7 +959,7 @@ fn refresh_domain(
 
 impl Snapshot for SearchEngine {
     const TAG: &'static str = "search-engine";
-    const VERSION: u16 = 1;
+    const VERSION: u16 = 2;
 
     fn write_body(&self, w: &mut Writer) {
         w.put_u64(self.seed);
@@ -1003,12 +968,15 @@ impl Snapshot for SearchEngine {
             w.put_u32(t.vertical.0);
             w.put_str(&t.text);
         });
-        // One reused buffer formats every doc URL.
-        let mut url = String::new();
         w.put_seq(&self.index.docs, |w, d| {
-            url.clear();
-            write!(url, "{}", d.url).expect("formatting into a String");
-            w.put_str(&url);
+            match d.page {
+                DocPage::Root => w.put_u8(0),
+                DocPage::Page(n) => {
+                    w.put_u8(1);
+                    w.put_u16(n);
+                }
+                DocPage::TermKey => w.put_u8(2),
+            }
             w.put_u32(d.domain.0);
             w.put_u32(d.term.0);
             w.put_f64(d.quality);
@@ -1048,10 +1016,14 @@ impl Snapshot for SearchEngine {
             })
         })?;
         let docs = r.get_seq(|r| {
-            let url = Url::parse(r.get_str_ref()?)
-                .map_err(|e| SnapshotError::Corrupt(format!("doc url: {e}")))?;
+            let page = match r.get_u8()? {
+                0 => DocPage::Root,
+                1 => DocPage::Page(r.get_u16()?),
+                2 => DocPage::TermKey,
+                tag => return Err(SnapshotError::Corrupt(format!("doc page tag {tag}"))),
+            };
             Ok(Doc {
-                url,
+                page,
                 domain: DomainId(r.get_u32()?),
                 term: TermId(r.get_u32()?),
                 quality: r.get_f64()?,
@@ -1086,11 +1058,6 @@ impl Snapshot for SearchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_types::DomainName;
-
-    fn url(s: &str) -> Url {
-        Url::parse(s).unwrap()
-    }
 
     fn day(n: u32) -> SimDate {
         SimDate::from_day_index(n)
@@ -1104,28 +1071,14 @@ mod tests {
         for i in 0..30 {
             let d = DomainId(i);
             domains.push(d);
-            e.index_page(
-                t,
-                url(&format!("http://legit{i}.com/")),
-                d,
-                0.4 + (i as f64) * 0.01,
-                0.5,
-                day(0),
-            );
+            e.index_page(t, DocPage::Root, d, 0.4 + (i as f64) * 0.01, 0.5, day(0));
         }
         for i in 30..33 {
             let d = DomainId(i);
             domains.push(d);
             // Fresh doorways: no reputation, decent keyword relevance —
             // without juice they sit below page one.
-            e.index_page(
-                t,
-                url(&format!("http://door{i}.com/?key=cheap+louis+vuitton")),
-                d,
-                0.0,
-                0.6,
-                day(0),
-            );
+            e.index_page(t, DocPage::TermKey, d, 0.0, 0.6, day(0));
         }
         (e, t, domains)
     }
@@ -1155,7 +1108,7 @@ mod tests {
         let (mut e, t, domains) = setup();
         let before = e.serp(t, day(10), 10);
         assert!(
-            before.results.iter().all(|r| r.domain.index() < 30),
+            before.results().iter().all(|r| r.domain.index() < 30),
             "no juice, no doorways on page one"
         );
         for d in &domains[30..] {
@@ -1163,12 +1116,12 @@ mod tests {
         }
         let after = e.serp(t, day(10), 10);
         let doorway_hits = after
-            .results
+            .results()
             .iter()
             .filter(|r| r.domain.index() >= 30)
             .count();
         assert_eq!(doorway_hits, 3, "juiced doorways should dominate");
-        assert_eq!(after.results[0].rank, 1);
+        assert_eq!(after.results()[0].rank, 1);
     }
 
     #[test]
@@ -1178,19 +1131,19 @@ mod tests {
         e.set_juice(target, 0.5);
         assert!(e
             .serp(t, day(5), 10)
-            .results
+            .results()
             .iter()
             .any(|r| r.domain == target));
         e.demote(target, 1.0);
         assert!(e
             .serp(t, day(5), 10)
-            .results
+            .results()
             .iter()
             .all(|r| r.domain != target));
         // With only 33 candidates the demoted doc still shows in a full
         // listing, but dead last — i.e. out of any top-k that matters.
         let all = e.serp(t, day(5), 100);
-        assert_eq!(all.results.last().unwrap().domain, target);
+        assert_eq!(all.results().last().unwrap().domain, target);
     }
 
     #[test]
@@ -1198,25 +1151,15 @@ mod tests {
         let mut e = SearchEngine::new(1, 0.0);
         let t = e.add_term(VerticalId(0), "x");
         let d = DomainId(0);
-        e.index_page(t, url("http://site.com/"), d, 0.9, 0.9, day(0));
-        e.index_page(
-            t,
-            url("http://site.com/shop/page.html"),
-            d,
-            0.9,
-            0.9,
-            day(0),
-        );
+        e.index_page(t, DocPage::Root, d, 0.9, 0.9, day(0));
+        e.index_page(t, DocPage::Page(7), d, 0.9, 0.9, day(0));
         e.label_hacked(d, day(50));
         let before = e.serp(t, day(49), 10);
-        assert!(before.results.iter().all(|r| !r.hacked_label));
+        assert!(before.results().iter().all(|r| !r.hacked_label));
         let after = e.serp(t, day(50), 10);
-        let root = after.results.iter().find(|r| r.url.is_root_page()).unwrap();
-        let sub = after
-            .results
-            .iter()
-            .find(|r| !r.url.is_root_page())
-            .unwrap();
+        let is_root = |r: &&RankedHit| e.doc(r.doc).page == DocPage::Root;
+        let root = after.results().iter().find(is_root).unwrap();
+        let sub = after.results().iter().find(|r| !is_root(r)).unwrap();
         assert!(root.hacked_label, "root result must be labeled");
         assert!(
             !sub.hacked_label,
@@ -1233,10 +1176,10 @@ mod tests {
         }
         let a = e.serp(t, day(10), 100);
         let b = e.serp(t, day(10), 100);
-        assert_eq!(a.results, b.results, "same day, same SERP");
+        assert_eq!(a.results(), b.results(), "same day, same SERP");
         let c = e.serp(t, day(11), 100);
-        let order_a: Vec<DomainId> = a.results.iter().map(|r| r.domain).collect();
-        let order_c: Vec<DomainId> = c.results.iter().map(|r| r.domain).collect();
+        let order_a: Vec<DomainId> = a.results().iter().map(|r| r.domain).collect();
+        let order_c: Vec<DomainId> = c.results().iter().map(|r| r.domain).collect();
         assert_ne!(
             order_a, order_c,
             "jitter must churn the ordering day to day"
@@ -1282,26 +1225,26 @@ mod tests {
         assert_eq!(batched.hacked_since(target), granular.hacked_since(target));
         let a = batched.serp(t, day(50), 33);
         let b = granular.serp(t, day(50), 33);
-        assert_eq!(a.results, b.results);
+        assert_eq!(a.results(), b.results());
     }
 
     #[test]
     fn pages_only_appear_after_indexing_day() {
         let mut e = SearchEngine::new(9, 0.0);
         let t = e.add_term(VerticalId(0), "x");
-        e.index_page(t, url("http://new.com/"), DomainId(0), 0.9, 0.9, day(100));
-        assert!(e.serp(t, day(99), 10).results.is_empty());
-        assert_eq!(e.serp(t, day(100), 10).results.len(), 1);
+        e.index_page(t, DocPage::Root, DomainId(0), 0.9, 0.9, day(100));
+        assert!(e.serp(t, day(99), 10).results().is_empty());
+        assert_eq!(e.serp(t, day(100), 10).results().len(), 1);
     }
 
     #[test]
     fn deindex_removes_from_serps() {
         let mut e = SearchEngine::new(9, 0.0);
         let t = e.add_term(VerticalId(0), "x");
-        let doc = e.index_page(t, url("http://gone.com/"), DomainId(0), 0.9, 0.9, day(0));
-        assert_eq!(e.serp(t, day(1), 10).results.len(), 1);
+        let doc = e.index_page(t, DocPage::Root, DomainId(0), 0.9, 0.9, day(0));
+        assert_eq!(e.serp(t, day(1), 10).results().len(), 1);
         e.deindex_page(doc);
-        assert!(e.serp(t, day(1), 10).results.is_empty());
+        assert!(e.serp(t, day(1), 10).results().is_empty());
     }
 
     #[test]
@@ -1310,14 +1253,14 @@ mod tests {
         let t1 = e.add_term(VerticalId(0), "a");
         let t2 = e.add_term(VerticalId(0), "b");
         let d = DomainId(7);
-        e.index_page(t1, url("http://door.com/?key=a"), d, 0.1, 0.9, day(0));
-        e.index_page(t2, url("http://door.com/?key=b"), d, 0.1, 0.9, day(0));
-        e.index_page(t1, url("http://other.com/"), DomainId(8), 0.5, 0.5, day(0));
+        e.index_page(t1, DocPage::TermKey, d, 0.1, 0.9, day(0));
+        e.index_page(t2, DocPage::TermKey, d, 0.1, 0.9, day(0));
+        e.index_page(t1, DocPage::Root, DomainId(8), 0.5, 0.5, day(0));
         let pages = e.site_query(d);
         assert_eq!(pages.len(), 2);
-        assert!(pages
-            .iter()
-            .all(|p| p.url.host == DomainName::parse("door.com").unwrap()));
+        assert!(pages.iter().all(|p| p.domain == d));
+        let terms: Vec<TermId> = pages.iter().map(|p| p.term).collect();
+        assert_eq!(terms, [t1, t2]);
     }
 
     #[test]
@@ -1332,23 +1275,23 @@ mod tests {
         assert_eq!(back.doc_count(), e.doc_count());
         for d in [10u32, 50] {
             assert_eq!(
-                back.serp(t, day(d), 33).results,
-                e.serp(t, day(d), 33).results
+                back.serp(t, day(d), 33).results(),
+                e.serp(t, day(d), 33).results()
             );
         }
         // Deindexed docs must stay deindexed after restore.
         assert!(!back
             .serp(t, day(10), 100)
-            .results
+            .results()
             .iter()
-            .any(|r| { r.domain == e.doc(DocId(5)).domain && r.url == e.doc(DocId(5)).url }));
+            .any(|r| r.doc == DocId(5)));
     }
 
     #[test]
     fn rank_is_one_based_and_contiguous() {
         let (e, t, _) = setup();
         let serp = e.serp(t, day(3), 20);
-        let ranks: Vec<u32> = serp.results.iter().map(|r| r.rank).collect();
+        let ranks: Vec<u32> = serp.results().iter().map(|r| r.rank).collect();
         assert_eq!(ranks, (1..=20).collect::<Vec<u32>>());
     }
 
@@ -1415,7 +1358,7 @@ mod tests {
     #[test]
     fn k_zero_walks_nothing_and_caches_no_complete_build() {
         let (e, t, _) = setup();
-        assert!(e.serp(t, day(7), 0).results.is_empty());
+        assert!(e.serp(t, day(7), 0).results().is_empty());
         assert!(e.ranked_uncached(t, day(7), 0).is_empty());
         let epoch = e.epoch();
         e.take_walk_work();
@@ -1434,13 +1377,60 @@ mod tests {
         assert_eq!(e.serp_stats(), (0, 0), "fingerprint probes are uncounted");
         let via_epoch = e.epoch().ranked(t, day(12), 15);
         assert_eq!(hits.as_slice(), via_epoch.results());
-        let full = e.serp_full_scan(t, day(12), 15);
-        for (h, r) in hits.iter().zip(&full.results) {
-            assert_eq!(
-                (h.rank, h.domain, h.hacked_label),
-                (r.rank, r.domain, r.hacked_label)
-            );
-        }
+        assert_eq!(hits, e.serp_full_scan(t, day(12), 15));
+    }
+
+    #[test]
+    fn docs_hold_ids_and_scores_only() {
+        assert!(std::mem::size_of::<Doc>() <= 32);
+    }
+
+    /// A one-term, one-doc engine frame of `version` whose doc's page
+    /// field is written by `page` (where v1 wrote the URL string).
+    fn one_doc_frame(version: u16, page: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        ss_types::snapshot::encode_framed(SearchEngine::TAG, version, |w| {
+            w.put_u64(1);
+            w.put_f64(0.05);
+            w.put_len(1);
+            w.put_u32(0);
+            w.put_str("x");
+            w.put_len(1);
+            page(w);
+            w.put_u32(0);
+            w.put_u32(0);
+            w.put_f64(0.5);
+            w.put_f64(0.5);
+            w.put_date(day(0));
+            w.put_seq(&[vec![DocId(0)]], |w, list| {
+                w.put_seq(list, |w, d| w.put_u32(d.0));
+            });
+            w.put_seq(&[0.0], |w, j| w.put_f64(*j));
+            w.put_seq(&[0.0], |w, p| w.put_f64(*p));
+            w.put_len(0);
+        })
+    }
+
+    #[test]
+    fn v1_frames_and_unknown_page_tags_are_refused() {
+        assert_eq!(
+            SearchEngine::decode(&one_doc_frame(1, |w| w.put_str("http://a.com/"))).unwrap_err(),
+            SnapshotError::WrongVersion {
+                tag: "search-engine",
+                expected: 2,
+                found: 1
+            }
+        );
+        assert!(matches!(
+            SearchEngine::decode(&one_doc_frame(2, |w| w.put_u8(3))).unwrap_err(),
+            SnapshotError::Corrupt(why) if why == "doc page tag 3"
+        ));
+        let ok = SearchEngine::decode(&one_doc_frame(2, |w| {
+            w.put_u8(1);
+            w.put_u16(9_999);
+        }))
+        .unwrap();
+        assert_eq!(ok.doc(DocId(0)).page, DocPage::Page(9_999));
+        assert_eq!(ok.doc_count(), 1);
     }
 }
 
@@ -1467,7 +1457,7 @@ mod prop_tests {
                 let r = (i as f64 * 11.0 % 13.0) / 13.0;
                 docs.push(e.index_page(
                     t,
-                    Url::parse(&format!("http://d{i}.com/")).unwrap(),
+                    DocPage::Root,
                     DomainId(i as u32),
                     q,
                     r,
@@ -1477,7 +1467,7 @@ mod prop_tests {
             let date = SimDate::from_day_index(day);
             let full = e.serp(t, date, n_docs);
             let scores: Vec<f64> =
-                full.results.iter().map(|r| {
+                full.results().iter().map(|r| {
                     let doc = docs.iter().find(|d| e.doc(**d).domain == r.domain).unwrap();
                     e.score(*doc, date)
                 }).collect();
@@ -1485,7 +1475,7 @@ mod prop_tests {
                 prop_assert!(w[0] >= w[1] - 1e-12, "scores not sorted: {scores:?}");
             }
             let topk = e.serp(t, date, k);
-            for (a, b) in topk.results.iter().zip(&full.results) {
+            for (a, b) in topk.results().iter().zip(full.results()) {
                 prop_assert_eq!(a.domain, b.domain, "top-k must be a prefix");
             }
         }

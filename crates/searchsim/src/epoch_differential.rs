@@ -7,10 +7,10 @@
 //! CI gates on this suite: a divergence here means the sorted-postings
 //! maintenance or the early-exit bound broke ranking semantics.
 
-use crate::{EngineOp, SearchEngine, Serp};
+use crate::{DocPage, EngineOp, RankedHit, RankedSerp, SearchEngine};
 use proptest::prelude::*;
 use ss_types::snapshot::Snapshot;
-use ss_types::{DomainId, SimDate, TermId, Url, VerticalId};
+use ss_types::{DomainId, SimDate, TermId, VerticalId};
 
 /// A generated document: (term index, domain index, quality, relevance,
 /// indexing day).
@@ -51,19 +51,16 @@ fn build(docs: &[GenDoc], n_terms: usize, jitter_amp: f64) -> SearchEngine {
         .map(|i| e.add_term(VerticalId(0), &format!("term {i}")))
         .collect();
     for (i, d) in docs.iter().enumerate() {
-        // A mix of root pages and doorway-style keyed sub-pages so the
-        // root-only hacked-label policy is exercised both ways.
-        let url = if i % 3 == 0 {
-            format!("http://dom{}.com/", d.domain)
-        } else {
-            format!(
-                "http://dom{}.com/page{i}.html?key=term+{}",
-                d.domain, d.term
-            )
+        // A mix of root pages, numbered sub-pages and doorway keyword
+        // pages so the root-only hacked-label policy is exercised both ways.
+        let page = match i % 3 {
+            0 => DocPage::Root,
+            1 => DocPage::Page(i as u16),
+            _ => DocPage::TermKey,
         };
         e.index_page(
             terms[d.term],
-            Url::parse(&url).unwrap(),
+            page,
             DomainId(d.domain),
             d.quality,
             d.relevance,
@@ -91,17 +88,14 @@ fn to_op(kind: u8, domain: u32, mag: u32) -> EngineOp {
     }
 }
 
-/// Exact SERP equality, field by field (rank, url, domain, label).
-fn assert_serps_equal(walk: &Serp, scan: &Serp) {
-    assert_eq!(
-        walk.results, scan.results,
-        "epoch walk diverged from full scan"
-    );
+/// Exact SERP equality, hit by hit (rank, doc, domain, label).
+fn assert_serps_equal(walk: &RankedSerp, scan: &[RankedHit]) {
+    assert_eq!(walk.results(), scan, "epoch walk diverged from full scan");
 }
 
 proptest! {
     /// The tentpole invariant: after every committed op batch, the epoch
-    /// walk and the reference full scan agree exactly — every rank, URL,
+    /// walk and the reference full scan agree exactly — every rank, doc,
     /// and label — for assorted days and depths.
     #[test]
     fn epoch_walk_matches_full_scan_under_random_op_batches(
@@ -261,7 +255,8 @@ fn republished_epoch_invalidates_cache_and_stays_exact() {
     assert_eq!(e.take_serp_stats(), (1, 0), "republish empties the cache");
     assert_serps_equal(&after, &e.serp_full_scan(t, day, 10));
     assert_ne!(
-        before.results, after.results,
+        before.results(),
+        after.results(),
         "the juice change must actually reshuffle this SERP"
     );
 
@@ -273,5 +268,5 @@ fn republished_epoch_invalidates_cache_and_stays_exact() {
     }]);
     let again = e.serp(t, day, 10);
     assert_eq!(e.take_serp_stats(), (1, 1), "no-op batch keeps the cache");
-    assert_eq!(again.results, after.results);
+    assert_eq!(again.results(), after.results());
 }

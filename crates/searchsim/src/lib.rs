@@ -31,6 +31,4 @@ pub mod engine;
 mod epoch_differential;
 pub mod suggest;
 
-pub use engine::{
-    DocId, EngineEpoch, EngineOp, RankedHit, RankedSerp, SearchEngine, SearchResult, Serp,
-};
+pub use engine::{DocId, DocPage, EngineEpoch, EngineOp, RankedHit, RankedSerp, SearchEngine};

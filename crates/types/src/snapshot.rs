@@ -9,11 +9,13 @@
 //!
 //! ```text
 //! +--------+---------------------+---------+----------+------+--------+
-//! | "SSNP" | tag (u16 len + str) | version | body_len | body | fnv64  |
+//! | "SSN2" | tag (u16 len + str) | version | body_len | body | hash64 |
 //! +--------+---------------------+---------+----------+------+--------+
 //! ```
 //!
-//! * the 4-byte magic rejects non-checkpoint files immediately;
+//! * the 4-byte magic rejects non-checkpoint files immediately, and names
+//!   frames of the older `SSNP` format (hashed byte-wise with FNV-1a) as
+//!   such: [`SnapshotError::OlderFormat`];
 //! * the **tag** names the snapshotted type, so a `World` frame can never
 //!   be decoded as a `CrawlDb` frame;
 //! * the **version** is per-type; bump it whenever the body layout
@@ -22,10 +24,10 @@
 //!   by the code revision (±compatible layout) that wrote it;
 //! * `body_len` length-prefixes the body, so nested frames can be skipped
 //!   or extracted without decoding them;
-//! * the trailing hash is FNV-1a over every preceding byte: flipped bits
-//!   and truncations surface as [`SnapshotError::IntegrityMismatch`] /
-//!   [`SnapshotError::Truncated`], never as a panic or a silently wrong
-//!   world.
+//! * the trailing hash is [`frame_hash`] over every preceding byte:
+//!   flipped bits and truncations surface as
+//!   [`SnapshotError::IntegrityMismatch`] / [`SnapshotError::Truncated`],
+//!   never as a panic or a silently wrong world.
 //!
 //! All integers are little-endian. Floats are encoded via their IEEE-754
 //! bit patterns so round-trips are exact. Nothing here allocates on the
@@ -42,8 +44,11 @@ use std::fmt;
 pub enum SnapshotError {
     /// The input ended before the structure did.
     Truncated,
-    /// The leading magic bytes are not `SSNP`.
+    /// The leading magic bytes are not `SSN2`.
     BadMagic,
+    /// The frame was written in the older `SSNP` format, whose integrity
+    /// hash is byte-wise FNV-1a; this build reads `SSN2` frames only.
+    OlderFormat,
     /// The frame's tag names a different type than the decoder expects.
     WrongTag {
         /// Tag the decoder expected.
@@ -71,6 +76,10 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::BadMagic => write!(f, "not a snapshot (bad magic)"),
+            SnapshotError::OlderFormat => write!(
+                f,
+                "snapshot in the older SSNP frame format (FNV-1a hashed); this build reads SSN2 frames only"
+            ),
             SnapshotError::WrongTag { expected, found } => {
                 write!(
                     f,
@@ -95,8 +104,8 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a over a byte slice — the integrity hash of the frame format and
-/// the workhorse of the `state_fingerprint` helpers.
+/// FNV-1a over a byte slice — the workhorse of the `state_fingerprint`
+/// helpers.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -115,7 +124,34 @@ pub fn fold_fingerprint(h: u64, word: u64) -> u64 {
     h ^ (h >> 29)
 }
 
-const MAGIC: &[u8; 4] = b"SSNP";
+/// The frame integrity hash: a multiply–xorshift over little-endian
+/// 8-byte words, the byte length first, then each word, the tail
+/// zero-padded. For a fixed word each step is a bijection of the running
+/// state, and for a fixed state a bijection of the word, so two inputs of
+/// one length that differ within one word always hash apart. It reads a
+/// word per multiply where FNV-1a reads a byte.
+pub fn frame_hash(bytes: &[u8]) -> u64 {
+    fn step(h: u64, word: u64) -> u64 {
+        let x = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^ (x >> 32)
+    }
+    let mut h = step(0x5353_4e32_6672_6d65, bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = step(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(padded));
+    }
+    h
+}
+
+const MAGIC: &[u8; 4] = b"SSN2";
+/// The magic of the older frame format, whose trailing hash is FNV-1a.
+const OLDER_MAGIC: &[u8; 4] = b"SSNP";
 
 /// Builds one full self-describing frame — magic, tag, version, body
 /// length, trailing integrity hash — around body bytes produced by
@@ -255,9 +291,9 @@ impl Writer {
 
     /// Appends one whole frame, building it inside this buffer: the
     /// header with a placeholder `body_len`, the body written through the
-    /// same writer, the patched length, then the FNV-1a of the frame's
-    /// own byte range. Nested frames therefore never live in a buffer of
-    /// their own and are never copied up a level.
+    /// same writer, the patched length, then the [`frame_hash`] of the
+    /// frame's own byte range. Nested frames therefore never live in a
+    /// buffer of their own and are never copied up a level.
     fn put_frame(&mut self, tag: &str, version: u16, write_body: impl FnOnce(&mut Writer)) {
         let start = self.buf.len();
         self.buf.extend_from_slice(MAGIC);
@@ -267,7 +303,7 @@ impl Writer {
         let len_at = self.reserve_u64();
         write_body(self);
         self.patch_len(len_at);
-        let hash = fnv1a64(&self.buf[start..]);
+        let hash = frame_hash(&self.buf[start..]);
         self.put_u64(hash);
     }
 
@@ -469,12 +505,14 @@ pub trait Snapshot: Sized {
         if bytes.len() < MAGIC.len() + 8 {
             return Err(SnapshotError::Truncated);
         }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(SnapshotError::BadMagic);
+        match &bytes[..MAGIC.len()] {
+            magic if magic == MAGIC => {}
+            magic if magic == OLDER_MAGIC => return Err(SnapshotError::OlderFormat),
+            _ => return Err(SnapshotError::BadMagic),
         }
         let (framed, trailer) = bytes.split_at(bytes.len() - 8);
         let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        if fnv1a64(framed) != stored {
+        if frame_hash(framed) != stored {
             return Err(SnapshotError::IntegrityMismatch);
         }
         let mut r = Reader::new(&framed[MAGIC.len()..]);
@@ -599,7 +637,7 @@ mod tests {
         bad[0] = b'X';
         // (re-hash so the magic check, not the integrity check, fires)
         let n = bad.len();
-        let h = fnv1a64(&bad[..n - 8]);
+        let h = frame_hash(&bad[..n - 8]);
         bad[n - 8..].copy_from_slice(&h.to_le_bytes());
         assert_eq!(Demo::decode(&bad).unwrap_err(), SnapshotError::BadMagic);
     }
@@ -659,6 +697,38 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 9);
     }
 
+    /// The frame hash on fixed inputs: empty, a partial word, a whole
+    /// word, a word plus a tail, and a frame-sized run.
+    #[test]
+    fn frame_hash_is_pinned() {
+        let run: Vec<u8> = (0..=255u8).cycle().take(1_000).collect();
+        let pinned = [
+            (&b""[..], 0xc033_0017_4ea2_e55e),
+            (b"a", 0x6802_d383_8f74_3c64),
+            (b"SSN2snap", 0xd774_8591_f3d9_7dc4),
+            (b"search-engine", 0x3e0d_dfc4_5025_953c),
+            (&run[..], 0x13f7_a37f_dd43_fa5e),
+        ];
+        for (bytes, hash) in pinned {
+            assert_eq!(frame_hash(bytes), hash, "{bytes:?}");
+        }
+        // Zero padding does not alias: the length is hashed first.
+        assert_ne!(frame_hash(b"ab"), frame_hash(b"ab\0"));
+        assert_ne!(frame_hash(b""), frame_hash(&[0; 8]));
+    }
+
+    /// Every single-bit change anywhere in a buffer changes the hash.
+    #[test]
+    fn frame_hash_sees_every_bit() {
+        let base: Vec<u8> = (0..67u8).map(|b| b.wrapping_mul(37)).collect();
+        let h = frame_hash(&base);
+        for i in 0..base.len() * 8 {
+            let mut flipped = base.clone();
+            flipped[i / 8] ^= 1 << (i % 8);
+            assert_ne!(frame_hash(&flipped), h, "bit {i}");
+        }
+    }
+
     #[test]
     fn hostile_lengths_do_not_allocate() {
         // A length claiming 2^60 elements must fail fast, not OOM.
@@ -673,13 +743,33 @@ mod tests {
 /// The two-buffer framing the in-place writer replaced, kept as its
 /// byte-equality oracle: each body is encoded into a fresh `Vec`, framed
 /// into a second one, and a nested frame is then copied into its parent.
+/// With the older magic and FNV-1a it also writes the older-format frames
+/// that decode must refuse by name.
 #[cfg(test)]
 mod framing_oracle {
     use super::*;
     use crate::rng::{sub_rng, SimRng};
     use rand::Rng;
 
+    /// A frame format: its magic and its trailing hash.
+    struct Format {
+        magic: &'static [u8; 4],
+        hash: fn(&[u8]) -> u64,
+    }
+
+    const CURRENT: Format = Format {
+        magic: MAGIC,
+        hash: frame_hash,
+    };
+
+    /// The format before word-wise hashing, kept to write older frames.
+    const OLDER: Format = Format {
+        magic: OLDER_MAGIC,
+        hash: fnv1a64,
+    };
+
     fn encode_framed_two_buffer(
+        format: &Format,
         tag: &str,
         version: u16,
         write_body: impl FnOnce(&mut Writer),
@@ -688,13 +778,13 @@ mod framing_oracle {
         write_body(&mut body);
         let body = body.into_bytes();
         let mut w = Writer::new();
-        w.buf.extend_from_slice(MAGIC);
+        w.buf.extend_from_slice(format.magic);
         w.put_u16(tag.len() as u16);
         w.buf.extend_from_slice(tag.as_bytes());
         w.put_u16(version);
         w.put_u64(body.len() as u64);
         w.buf.extend_from_slice(&body);
-        let hash = fnv1a64(&w.buf);
+        let hash = (format.hash)(&w.buf);
         w.put_u64(hash);
         w.into_bytes()
     }
@@ -762,9 +852,14 @@ mod framing_oracle {
         for part in body {
             match part {
                 Part::Bytes(b) => w.put_bytes(b),
-                Part::Child(f) => w.put_bytes(&encode_framed_two_buffer(&f.tag, f.version, |w| {
-                    write_two_buffer(w, &f.body);
-                })),
+                Part::Child(f) => w.put_bytes(&encode_framed_two_buffer(
+                    &CURRENT,
+                    &f.tag,
+                    f.version,
+                    |w| {
+                        write_two_buffer(w, &f.body);
+                    },
+                )),
             }
         }
     }
@@ -772,40 +867,72 @@ mod framing_oracle {
     fn check(seed: u64) {
         let root = random_frame(&mut sub_rng(seed, "framing-oracle"), 0);
         let in_place = encode_framed(&root.tag, root.version, |w| write_in_place(w, &root.body));
-        let oracle = encode_framed_two_buffer(&root.tag, root.version, |w| {
+        let oracle = encode_framed_two_buffer(&CURRENT, &root.tag, root.version, |w| {
             write_two_buffer(w, &root.body);
         });
         assert!(in_place == oracle, "seed {seed}: in-place frame differs");
         let (framed, trailer) = in_place.split_at(in_place.len() - 8);
-        assert_eq!(fnv1a64(framed).to_le_bytes(), trailer, "seed {seed}");
+        assert_eq!(frame_hash(framed).to_le_bytes(), trailer, "seed {seed}");
+    }
+
+    struct Leaf(Vec<u8>);
+
+    impl Snapshot for Leaf {
+        const TAG: &'static str = "leaf";
+        const VERSION: u16 = 7;
+        fn write_body(&self, w: &mut Writer) {
+            w.put_bytes(&self.0);
+        }
+        fn read_body(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+            Ok(Leaf(r.get_bytes()?.to_vec()))
+        }
+    }
+
+    /// A frame of the older format, well formed and correctly hashed, is
+    /// refused by name, on its own and nested in a current frame.
+    #[test]
+    fn older_format_frames_are_refused_by_name() {
+        let leaf = Leaf(vec![1, 2, 3]);
+        let older = encode_framed_two_buffer(&OLDER, Leaf::TAG, Leaf::VERSION, |w| {
+            leaf.write_body(w);
+        });
+        let err = Leaf::decode(&older).map(|_| ()).unwrap_err();
+        assert_eq!(err, SnapshotError::OlderFormat);
+        assert!(err.to_string().contains("older SSNP"), "{err}");
+        let outer = encode_framed(Leaf::TAG, Leaf::VERSION, |w| w.put_bytes(&older));
+        let mut r = Reader::new(&outer);
+        r.take(MAGIC.len() + 2 + Leaf::TAG.len() + 2 + 8).unwrap();
+        assert_eq!(
+            r.get_nested::<Leaf>().map(|_| ()).unwrap_err(),
+            SnapshotError::OlderFormat
+        );
+        // Truncated older frames are still refused, never misread.
+        for n in 0..older.len() {
+            assert!(Leaf::decode(&older[..n]).is_err(), "prefix {n}");
+        }
     }
 
     #[test]
     fn trait_frames_match_the_two_buffer_oracle() {
-        struct Leaf(Vec<u8>);
-        impl Snapshot for Leaf {
-            const TAG: &'static str = "leaf";
-            const VERSION: u16 = 7;
-            fn write_body(&self, w: &mut Writer) {
-                w.put_bytes(&self.0);
-            }
-            fn read_body(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-                Ok(Leaf(r.get_bytes()?.to_vec()))
-            }
-        }
         for leaf in [Leaf(Vec::new()), Leaf(vec![1, 2, 3])] {
             let mut w = Writer::new();
             w.put_u8(5);
             w.put_nested(&leaf);
             let mut oracle = Writer::new();
             oracle.put_u8(5);
-            oracle.put_bytes(&encode_framed_two_buffer(Leaf::TAG, Leaf::VERSION, |w| {
-                leaf.write_body(w);
-            }));
+            oracle.put_bytes(&encode_framed_two_buffer(
+                &CURRENT,
+                Leaf::TAG,
+                Leaf::VERSION,
+                |w| {
+                    leaf.write_body(w);
+                },
+            ));
             assert_eq!(w.into_bytes(), oracle.into_bytes());
             assert_eq!(
                 leaf.encode(),
-                encode_framed_two_buffer(Leaf::TAG, Leaf::VERSION, |w| leaf.write_body(w))
+                encode_framed_two_buffer(&CURRENT, Leaf::TAG, Leaf::VERSION, |w| leaf
+                    .write_body(w))
             );
         }
     }
