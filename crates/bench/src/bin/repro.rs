@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro <experiment> [--preset tiny|small|paper|mega] [--seed N] [--out DIR]
-//!                    [--threads N] [--no-trace] [--trace-level off|stage|event]
+//!                    [--threads N] [--no-trace]
 //! repro all          # every experiment + EXPERIMENTS.md
 //! repro list         # experiment index
 //! repro explain campaign <name|index>   # causal chain for one campaign
@@ -35,11 +35,11 @@
 //! and the simulation's tick-stage planners. Output is bit-identical for
 //! every `N` (default: serial).
 //!
-//! Tracing is on by default for `repro` runs: the flight recorder and the
-//! tick-plane event trail feed `repro explain`, and the registry's
-//! wall-frame timeline is written to `reports/trace.json` (load it at
-//! <https://ui.perfetto.dev>). `--no-trace` turns all of it off; benches
-//! and library users default to off.
+//! Tracing is on by default for `repro` runs: the tick-plane event trail
+//! feeds `repro explain`, and the registry's wall-frame timeline is
+//! written to `reports/trace.json` (load it at
+//! <https://ui.perfetto.dev>). `--no-trace` turns both off; benches and
+//! library users default to off.
 //!
 //! Experiments: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig6
 //! classifier validation termbias labels seizures supplier conversion
@@ -118,11 +118,6 @@ fn parse_args() -> Args {
                     .expect("numeric thread count");
             }
             "--no-trace" => trace = TraceLevel::Off,
-            "--trace-level" => {
-                let v = args.next().expect("--trace-level needs a value");
-                trace = TraceLevel::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown trace level {v:?} (off|stage|event)"));
-            }
             "--checkpoint-every" => {
                 checkpoint_every = Some(
                     args.next()
@@ -281,7 +276,7 @@ fn main() {
     let mut cfg = args.preset.config(args.seed);
     // One flag drives both planes: crawl fan-out and tick planners.
     cfg.set_threads(args.threads);
-    cfg.set_trace(args.trace);
+    cfg.trace_level = args.trace;
     if args.trace != TraceLevel::Off {
         // Wall-clock half of the trace plane: a Chrome-trace-event
         // timeline, excluded from every determinism comparison.
@@ -505,7 +500,6 @@ fn run_sweep(args: &Args) {
                     ckpt.world.shift_scripted_seizures(offset);
                     let mut cfg = args.preset.config(args.seed);
                     cfg.set_threads(args.threads);
-                    cfg.set_trace(TraceLevel::Off);
                     let out = search_seizure::Study::new(cfg)
                         .resume(ckpt)
                         .unwrap_or_else(|e| {

@@ -536,7 +536,7 @@ mod tests {
 
     fn traced_run(seed: u64) -> StudyOutput {
         let mut cfg = StudyConfig::fast_test(seed);
-        cfg.set_trace(TraceLevel::Event);
+        cfg.trace_level = TraceLevel::Event;
         Study::new(cfg).run().expect("study runs")
     }
 

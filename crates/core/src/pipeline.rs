@@ -77,11 +77,10 @@ pub struct StudyConfig {
     /// serially). Usually set via [`StudyConfig::set_threads`]; the scan
     /// is bit-identical at any value.
     pub analysis_threads: usize,
-    /// Trace-plane level: flight recorders (crawl + tick) and the world
-    /// event-trail retention that powers `repro explain`. Off by default
-    /// so benches and plain studies pay nothing; set together with the
-    /// crawler's knob via [`StudyConfig::set_trace`]. Enabling it changes
-    /// no deterministic metric byte.
+    /// Trace-plane level: whether the world retains the event trail that
+    /// powers `repro explain`. Off by default so benches and plain studies
+    /// pay nothing. Enabling it changes no deterministic metric, cost or
+    /// crawler byte.
     pub trace_level: TraceLevel,
     /// Where to write the Chrome trace-event timeline (wall-clock half);
     /// `None` disables the export.
@@ -126,15 +125,6 @@ impl StudyConfig {
         self.crawler.threads = n.max(1);
         self.tick_threads = n.max(1);
         self.analysis_threads = n.max(1);
-    }
-
-    /// Points the whole trace plane at `level`: the crawler's PSR
-    /// provenance recorder, the tick plane's recorder, and the world
-    /// event-trail retention. The plumbing mirror of
-    /// [`StudyConfig::set_threads`].
-    pub fn set_trace(&mut self, level: TraceLevel) {
-        self.trace_level = level;
-        self.crawler.trace = level;
     }
 
     /// A fast configuration for tests: tiny world, short crawl, light
@@ -645,6 +635,7 @@ fn calibration_observables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_types::snapshot::Snapshot as _;
 
     #[test]
     fn full_pipeline_produces_all_datasets() {
@@ -673,14 +664,14 @@ mod tests {
         );
     }
 
-    /// Enabling the full trace plane (recorders, event trail, calibration
-    /// gate) must not perturb a single deterministic metric byte — the
-    /// trace plane observes the run, it never steers it.
+    /// Enabling the full trace plane (event trail, calibration gate) must
+    /// not perturb a single deterministic metric, cost-profile or crawler
+    /// byte — the trace plane observes the run, it never steers it.
     #[test]
     fn trace_plane_records_without_perturbing_metrics() {
         let base = StudyConfig::fast_test(75);
         let mut traced = StudyConfig::fast_test(75);
-        traced.set_trace(TraceLevel::Event);
+        traced.trace_level = TraceLevel::Event;
         traced.calibration = vec![
             CalibrationTarget::new("total_psrs", 3_570_000.0, (1.0, 1e12), (1.0, 1e12)),
             CalibrationTarget::new("no_such_observable", 1.0, (0.0, 1.0), (0.0, 1.0)),
@@ -688,10 +679,13 @@ mod tests {
         let a = Study::new(base).run().unwrap();
         let b = Study::new(traced).run().unwrap();
         assert_eq!(a.metrics.metrics_json(), b.metrics.metrics_json());
+        assert_eq!(a.metrics.costs_json(), b.metrics.costs_json());
+        assert!(
+            a.crawler.encode() == b.crawler.encode(),
+            "tracing changed the crawler frame"
+        );
         assert!(a.world.event_trail.is_empty(), "retention must default off");
-        assert!(a.crawler.recorder.is_empty());
         assert!(!b.world.event_trail.is_empty(), "no tick events retained");
-        assert!(!b.crawler.recorder.is_empty(), "no crawl events recorded");
         assert_eq!(b.manifest.calibration[0].status, "ok");
         assert_eq!(b.manifest.calibration[1].status, "warn");
     }

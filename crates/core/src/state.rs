@@ -109,7 +109,6 @@ pub fn semantic_config_hash(cfg: &StudyConfig) -> u64 {
     c.analysis_threads = 1;
     c.crawler.threads = 1;
     c.trace_level = TraceLevel::Off;
-    c.crawler.trace = TraceLevel::Off;
     c.trace_path = None;
     c.manifest_path = None;
     manifest::config_hash(&c)
@@ -566,7 +565,7 @@ mod tests {
         let base = StudyConfig::fast_test(7);
         let mut runtime = StudyConfig::fast_test(7);
         runtime.set_threads(8);
-        runtime.set_trace(TraceLevel::Event);
+        runtime.trace_level = TraceLevel::Event;
         runtime.manifest_path = Some("elsewhere.json".into());
         runtime.trace_path = Some("trace.json".into());
         assert_eq!(semantic_config_hash(&base), semantic_config_hash(&runtime));

@@ -195,7 +195,7 @@ impl World {
                 plan.len() as u64,
                 stage = stage.name()
             );
-            if self.recorder.enabled() {
+            if self.retain_trail {
                 self.retain_plan(today, stage, &plan);
             }
             self.apply_plan(today, plan);
@@ -205,59 +205,23 @@ impl World {
         self.apply_plan(today, vec![WorldEvent::AdvanceDay]);
     }
 
-    /// Trace-plane hook: records a per-stage summary into the flight
-    /// recorder and retains intervention-relevant events on the event
-    /// trail. Runs on the sequential commit path between planning and
-    /// apply, so its order is independent of `tick_threads`.
+    /// Trace-plane hook: retains intervention-relevant events on the
+    /// event trail. Runs on the sequential commit path between planning
+    /// and apply, so its order is independent of `tick_threads`.
     fn retain_plan(&mut self, day: SimDate, stage: TickStage, plan: &[WorldEvent]) {
-        self.recorder.record(
-            day.day_index(),
-            stage.name(),
-            plan.len() as u64,
-            format!("planned {} events", plan.len()),
-        );
         for ev in plan {
-            match ev {
-                WorldEvent::PenalizeDoorway { domain, labeled } => {
-                    ss_obs::trace!(
-                        self.recorder,
-                        day.day_index(),
-                        stage.name(),
-                        domain.0,
-                        "penalize doorway {domain} labeled={labeled}"
-                    );
-                }
-                WorldEvent::FileCase {
-                    firm,
-                    brand,
-                    targets,
-                    bulk,
-                } => {
-                    ss_obs::trace!(
-                        self.recorder,
-                        day.day_index(),
-                        stage.name(),
-                        firm.0,
-                        "file case firm={firm} brand={brand} targets={} bulk={bulk}",
-                        targets.len()
-                    );
-                }
-                WorldEvent::Rotate { store, reactive } => {
-                    ss_obs::trace!(
-                        self.recorder,
-                        day.day_index(),
-                        stage.name(),
-                        store.0,
-                        "rotate {store} reactive={reactive}"
-                    );
-                }
-                _ => continue,
+            if matches!(
+                ev,
+                WorldEvent::PenalizeDoorway { .. }
+                    | WorldEvent::FileCase { .. }
+                    | WorldEvent::Rotate { .. }
+            ) {
+                self.event_trail.push(TrailEvent {
+                    day,
+                    stage: stage.name(),
+                    event: ev.clone(),
+                });
             }
-            self.event_trail.push(TrailEvent {
-                day,
-                stage: stage.name(),
-                event: ev.clone(),
-            });
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! Everything `World::tick` reads or writes is captured here: the scenario
 //! config, the domain table, the ground-truth event log, and the full
-//! [`World`] itself (which nests the engine, supplier, metrics registry,
-//! flight recorder, and event trail). The entity tables carry their own
-//! row codecs (`write_rows`/`read_rows` in [`crate::tables`]), which decode
-//! straight into the columns. Decoding then rebuilds the rest the way
+//! [`World`] itself (which nests the engine, supplier and metrics
+//! registry, and carries the event trail with its retention flag). The
+//! entity tables carry their own row codecs (`write_rows`/`read_rows` in
+//! [`crate::tables`]), which decode straight into the columns. Decoding then rebuilds the rest the way
 //! construction does — `new_shell`, then `World::index_entities` — so
 //! derived structures (the domain→doorway route, per-campaign store
 //! templates, interner ids, the suggest service) are re-derived rather
@@ -595,7 +595,7 @@ fn get_day_map<T>(
 
 impl Snapshot for World {
     const TAG: &'static str = "world";
-    const VERSION: u16 = 1;
+    const VERSION: u16 = 2;
 
     fn write_body(&self, w: &mut Writer) {
         w.put_nested(&self.cfg);
@@ -625,7 +625,7 @@ impl Snapshot for World {
         });
         w.put_u32(self.next_case);
         w.put_nested(&self.metrics);
-        w.put_nested(&self.recorder);
+        w.put_bool(self.retain_trail);
         w.put_seq(&self.event_trail, |w, t| {
             w.put_date(t.day);
             w.put_str(t.stage);
@@ -676,7 +676,7 @@ impl Snapshot for World {
             get_day_map(r, |r| Ok((DomainId(r.get_u32()?), FirmId(r.get_u32()?))))?;
         world.next_case = r.get_u32()?;
         world.metrics = r.get_nested()?;
-        world.recorder = r.get_nested()?;
+        world.retain_trail = r.get_bool()?;
         world.event_trail = r.get_seq(|r| {
             Ok(TrailEvent {
                 day: r.get_date()?,
@@ -735,7 +735,7 @@ mod tests {
         assert_eq!(a.engine.state_fingerprint(), b.engine.state_fingerprint());
         assert_eq!(a.events.all(), b.events.all());
         assert_eq!(a.event_trail, b.event_trail);
-        assert_eq!(a.recorder.render(), b.recorder.render());
+        assert!(b.retain_trail, "trail retention did not survive");
         assert_eq!(a.metrics.metrics_json(), b.metrics.metrics_json());
 
         // The restored world replays the future bit-identically — the
@@ -815,6 +815,26 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
         assert!(World::decode(&flipped).is_err());
+    }
+
+    /// A v1 `world` frame (it nested the retired tick-plane recorder) is
+    /// refused by version before its body is read.
+    #[test]
+    fn world_v1_frame_is_refused() {
+        let w = ticked_world(0);
+        let v1 = ss_types::snapshot::encode_framed(World::TAG, 1, |out| w.write_body(out));
+        match World::decode(&v1) {
+            Err(SnapshotError::WrongVersion {
+                tag,
+                expected,
+                found,
+            }) => {
+                assert_eq!(tag, World::TAG);
+                assert_eq!((expected, found), (2, 1));
+            }
+            Err(e) => panic!("expected WrongVersion, got {e}"),
+            Ok(_) => panic!("a v1 world frame decoded"),
+        }
     }
 
     #[test]

@@ -99,18 +99,15 @@ pub struct World {
     /// (`eco.*`), recorded as ticks execute. Deterministic for a given
     /// seed at any `tick_threads`.
     pub metrics: ss_obs::Registry,
-    /// Trace-plane flight recorder for the tick plane. Recording happens
-    /// only on the sequential commit path (plan order), so retained
-    /// events are bit-identical at any `tick_threads`. Off by default.
-    pub recorder: ss_obs::FlightRecorder,
+    /// Whether ticks retain intervention events on [`World::event_trail`]
+    /// (set through [`World::set_trace`]). Off by default.
+    pub(crate) retain_trail: bool,
     /// Retained intervention-relevant tick events — the persisted
-    /// `WorldEvent` log that `repro explain` walks. Populated only while
-    /// the recorder is enabled.
+    /// `WorldEvent` log that `repro explain` walks. Appended only on the
+    /// sequential commit path (plan order), so it is bit-identical at any
+    /// `tick_threads`, and only while retention is on.
     pub event_trail: Vec<crate::plan::TrailEvent>,
 }
-
-/// Ring capacity of the tick plane's flight recorder.
-const TRACE_RING_CAP: usize = 1 << 16;
 
 impl World {
     /// Builds a world from a scenario (see the [`crate::scenario`] knobs).
@@ -145,7 +142,7 @@ impl World {
             next_case: 0,
             tick_threads: 1,
             metrics: ss_obs::Registry::new(),
-            recorder: ss_obs::FlightRecorder::disabled(),
+            retain_trail: false,
             event_trail: Vec::new(),
         }
     }
@@ -166,11 +163,12 @@ impl World {
             .collect();
     }
 
-    /// Points the tick plane's flight recorder — and with it the
-    /// event-trail retention that powers `repro explain` — at `level`.
-    /// Off by default so benches and plain studies pay nothing.
+    /// Turns the event-trail retention that powers `repro explain` on at
+    /// [`TraceLevel::Event`](ss_obs::TraceLevel::Event) and off at
+    /// [`TraceLevel::Off`](ss_obs::TraceLevel::Off). Off by default so
+    /// benches and plain studies pay nothing.
     pub fn set_trace(&mut self, level: ss_obs::TraceLevel) {
-        self.recorder = ss_obs::FlightRecorder::new(level, TRACE_RING_CAP);
+        self.retain_trail = level == ss_obs::TraceLevel::Event;
     }
 
     /// Campaign template accessor.

@@ -223,9 +223,10 @@ fn run(cfg: ScenarioConfig, threads: usize, until: u32) -> World {
 }
 
 /// The fingerprint golden was recorded on the nested-struct (pre-table)
-/// implementation; the frame golden pins the `world` v1 checkpoint layout
-/// with its nested `search-engine` v2 frame (docs as page shapes) and the
-/// word-wise frame hash.
+/// implementation; the frame golden pins the `world` v2 checkpoint layout
+/// (a trail-retention byte where v1 nested a tick-plane recorder) with its
+/// nested `search-engine` v2 frame (docs as page shapes) and the word-wise
+/// frame hash.
 #[test]
 fn state_fingerprint_golden_tiny() {
     for threads in [1usize, 2, 8] {
@@ -238,7 +239,7 @@ fn state_fingerprint_golden_tiny() {
         let frame = w.encode();
         assert_eq!(
             (frame.len(), fnv1a64(&frame)),
-            (904_438, 0xbe79_2325_b322_63a3),
+            (904_359, 0x8bbd_b133_c548_9230),
             "tiny world frame drifted at threads={threads}"
         );
         let restored = World::decode(&frame).expect("frame decodes");

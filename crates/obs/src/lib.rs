@@ -57,7 +57,7 @@ pub use cost::{
 };
 pub use histogram::{Histogram, BUCKETS};
 pub use registry::{MetricKey, Registry};
-pub use trace::{ChromeTrace, FlightRecorder, TraceEvent, TraceLevel};
+pub use trace::{ChromeTrace, TraceLevel};
 
 /// A rendered metric label value — borrowed when the source type already
 /// is a string, owned only when rendering had to allocate (numbers).
@@ -156,21 +156,6 @@ macro_rules! observe {
     }};
 }
 
-/// Records a per-entity [`TraceEvent`] into a [`FlightRecorder`]:
-/// `trace!(rec, day_index, "stage.crawl", domain_id, "psr rank={rank}")`.
-///
-/// Compile-cheap no-op below [`TraceLevel::Event`]: the `format!` (and
-/// every argument expression inside it) is only evaluated after the
-/// level check passes, so a disabled recorder costs one branch.
-#[macro_export]
-macro_rules! trace {
-    ($rec:expr, $day:expr, $stage:expr, $entity:expr, $($arg:tt)+) => {
-        if $rec.detailed() {
-            $rec.record($day, $stage, ($entity) as u64, format!($($arg)+));
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,23 +252,6 @@ mod tests {
             .contains("study.wall"));
         let paths: Vec<&str> = reg.timeline().iter().map(|s| s.path).collect();
         assert_eq!(paths, ["study.wall"]);
-    }
-
-    #[test]
-    fn trace_macro_is_a_noop_when_disabled() {
-        let off = FlightRecorder::disabled();
-        let mut evaluated = false;
-        crate::trace!(off, 3, "stage.crawl", 9, "{}", {
-            evaluated = true;
-            "side effect"
-        });
-        assert!(!evaluated, "format args must not run when disabled");
-        assert!(off.is_empty());
-
-        let on = FlightRecorder::new(TraceLevel::Event, 8);
-        crate::trace!(on, 3, "stage.crawl", 9, "rank={}", 4);
-        assert_eq!(on.len(), 1);
-        assert_eq!(on.events()[0].detail, "rank=4");
     }
 
     #[test]
